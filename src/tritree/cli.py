@@ -21,7 +21,7 @@ from .core import (
     TernaryMap,
     build_ternary,
 )
-from .oracle import enumerate_colorings, enumerate_trees
+from .oracle import enumerate_colorings, enumerate_trees, two_cycle_map
 from .quartets import generate_quartets
 from .reconstruct import NotAMetricError, reconstruct_tree
 from .tree import (
@@ -120,19 +120,6 @@ def _cmd_check_binary(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _two_cycle_map() -> TernaryMap:
-    # Both symbols trace a 5-cycle through the complementary-pair graph;
-    # every 4-subset splits 2-2, yet the whole map encodes no tree.
-    taxa = TaxonSet(("u", "w", "x", "y", "z"))
-    alphabet = SymbolAlphabet(frozenset(("a", "b")))
-    a_triples = [("z", "u", "w"), ("x", "u", "w"), ("x", "y", "w"), ("x", "y", "z"), ("y", "z", "u")]
-    entries: dict[tuple[str, ...], str] = {}
-    for tri in taxa.triples():
-        on_a = any(set(tri) == set(t) for t in a_triples)
-        entries[tri] = "a" if on_a else "b"
-    return build_ternary(taxa, alphabet, entries)
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
     failures = 0
 
@@ -163,7 +150,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             accepted += 1
     check("accepted two-symbol maps on 4 taxa number 8", accepted == 8)
 
-    cycles = _two_cycle_map()
+    cycles = two_cycle_map()
     check("the two-5-cycle map is rejected", not verify_metric(cycles).is_metric)
     refused = False
     try:
@@ -239,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace], int] = args.handler
     try:
         return handler(args)
-    except (TableFormatError, NewickParseError, OSError) as exc:
+    except (TableFormatError, NewickParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TreeValidationError as exc:

@@ -9,8 +9,9 @@ string and therefore can never collide with an alphabet symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -67,6 +68,7 @@ class TaxonSet:
     """At least three distinct taxon names, kept in lexicographic order."""
 
     names: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.names))
@@ -78,9 +80,10 @@ class TaxonSet:
         for name in ordered:
             check_identifier(name, "taxon name")
         object.__setattr__(self, "names", ordered)
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(ordered)})
 
     def __contains__(self, name: object) -> bool:
-        return name in set(self.names)
+        return name in self._index
 
     def __len__(self) -> int:
         return len(self.names)
@@ -89,8 +92,13 @@ class TaxonSet:
         return iter(self.names)
 
     def require(self, name: str) -> None:
-        if name not in self.names:
+        if name not in self._index:
             raise UnknownTaxonError(f"unknown taxon {name!r}")
+
+    def index(self, name: str) -> int:
+        """Position of a taxon in the sorted names."""
+        self.require(name)
+        return self._index[name]
 
     def triples(self) -> Iterator[tuple[str, str, str]]:
         """All 3-subsets in canonical (sorted) order."""
@@ -135,6 +143,9 @@ class TernaryMap:
     3-subset; the declared alphabet is carried along but does not take part
     in equality, so a map declared over a larger alphabet still equals the
     same values declared over the symbols actually used.
+
+    Values come as a mapping or as (3-subset, symbol) pairs, with the taxa of
+    each 3-subset in any order; build_ternary lists what is checked.
     """
 
     __slots__ = ("taxa", "alphabet", "_values", "_hash")
@@ -143,28 +154,43 @@ class TernaryMap:
         self,
         taxa: TaxonSet,
         alphabet: SymbolAlphabet,
-        values: Mapping[tuple[str, str, str], str],
+        values: Mapping[tuple[str, ...], str] | Iterable[tuple[Iterable[str], str]],
     ) -> None:
-        canon: dict[tuple[str, str, str], str] = {}
-        for triple, symbol in values.items():
-            if len(set(triple)) != 3:
-                raise MapBuildError(f"3-subset with a repeated taxon: {triple!r}")
-            for t in triple:
-                taxa.require(t)
-            if symbol is NON_EVENT or not isinstance(symbol, str):
+        pairs = values.items() if isinstance(values, Mapping) else values
+        known = taxa._index
+        canon: dict[tuple[str, ...], str] = {}
+        for triple, symbol in pairs:
+            subset = tuple(triple)
+            if len(subset) != 3:
+                raise MapBuildError(f"entry {subset!r} does not name exactly three taxa")
+            a, b, c = subset
+            if a == b or a == c or b == c:
                 raise MapBuildError(
-                    f"value for {'/'.join(sorted(triple))} must be an alphabet symbol, got {symbol!r}"
+                    f"3-subset with a repeated taxon: {' '.join(map(str, subset))}"
                 )
-            if symbol not in alphabet:
-                raise MapBuildError(f"symbol {symbol!r} is not in the declared alphabet")
-            key = _canonical_triple(triple)
-            if key in canon and canon[key] != symbol:
+            if a not in known or b not in known or c not in known:
+                for t in subset:
+                    taxa.require(t)
+            key = (a, b, c) if a < b < c else tuple(sorted(subset))
+            first = canon.setdefault(key, symbol)
+            if first != symbol:
                 raise MapBuildError(
-                    f"conflicting values for {' '.join(key)}: {canon[key]!r} and {symbol!r}"
+                    f"conflicting values for {' '.join(key)}: {first!r} and {symbol!r}"
                 )
-            canon[key] = symbol
-        missing = [tri for tri in taxa.triples() if tri not in canon]
-        if missing:
+        try:
+            in_alphabet = set(canon.values()) <= alphabet.symbols
+        except TypeError:  # an unhashable value is no symbol
+            in_alphabet = False
+        if not in_alphabet:  # find the first bad value, in entry order
+            for key, symbol in canon.items():
+                if symbol is NON_EVENT or not isinstance(symbol, str):
+                    raise MapBuildError(
+                        f"value for {'/'.join(key)} must be an alphabet symbol, got {symbol!r}"
+                    )
+                if symbol not in alphabet:
+                    raise MapBuildError(f"symbol {symbol!r} is not in the declared alphabet")
+        if len(canon) != comb(len(taxa), 3):
+            missing = [tri for tri in taxa.triples() if tri not in canon]
             shown = ", ".join(" ".join(tri) for tri in missing[:5])
             more = "" if len(missing) <= 5 else f" (and {len(missing) - 5} more)"
             raise MapBuildError(f"missing 3-subsets: {shown}{more}")
@@ -302,20 +328,4 @@ def build_ternary(
     with the same value are tolerated; conflicting duplicates, symbols
     outside the alphabet, unknown taxa, and missing 3-subsets are errors.
     """
-    pairs = entries.items() if isinstance(entries, Mapping) else entries
-    values: dict[tuple[str, str, str], str] = {}
-    for triple, symbol in pairs:
-        subset = tuple(triple)
-        if len(subset) != 3:
-            raise MapBuildError(f"entry {subset!r} does not name exactly three taxa")
-        if len(set(subset)) != 3:
-            raise MapBuildError(f"3-subset with a repeated taxon: {' '.join(subset)}")
-        for t in subset:
-            taxa.require(t)
-        key = _canonical_triple(subset)
-        if key in values and values[key] != symbol:
-            raise MapBuildError(
-                f"conflicting values for {' '.join(key)}: {values[key]!r} and {symbol!r}"
-            )
-        values[key] = symbol
-    return TernaryMap(taxa, alphabet, values)
+    return TernaryMap(taxa, alphabet, entries)

@@ -27,6 +27,7 @@ __all__ = [
     "enumerate_colorings",
     "enumerate_trees",
     "find_nonthin_witness",
+    "two_cycle_map",
 ]
 
 
@@ -201,8 +202,8 @@ def find_nonthin_witness(
     Guided search on six taxa and two symbols: the two 4-subsets mixing the
     first pair with the second and with the third are pinned to constant
     values, the remaining twelve triples are scanned exhaustively, and each
-    survivor of a fast 4-subset screen is tested in full.  A blanket scan of
-    all 2^20 assignments backs the guided pass up.
+    survivor of a fast 4-subset screen is tested in full.  The search is
+    symmetric under renaming taxa and symbols, so pinning loses no witness.
     """
     names = tuple(sorted(taxa if taxa is not None else ("a1", "a2", "b1", "b2", "c1", "c2")))
     if len(names) != 6 or len(set(names)) != 6:
@@ -241,12 +242,22 @@ def find_nonthin_witness(
                 found = survivor(values)
                 if found is not None:
                     return found
-
-    for bits in range(2 ** len(all_triples)):
-        values = {
-            t: palette[(bits >> i) & 1] for i, t in enumerate(all_triples)
-        }
-        found = survivor(values)
-        if found is not None:
-            return found
     raise RuntimeError("no witness exists over six taxa and two symbols")
+
+
+def two_cycle_map() -> TernaryMap:
+    """Two symbols tracing complementary 5-cycles over taxa u, w, x, y, z.
+
+    Keying each pair of taxa by the value of the complementary triple, the
+    'a' pairs form the cycle x-y-z-u-w-x and the 'b' pairs the cycle
+    x-z-w-y-u-x.  Every 4-subset splits 2-2, the full 5-set splits 5-5, so
+    the map passes the 4-subset check, fails the 5-subset check, and encodes
+    no tree.
+    """
+    taxa = TaxonSet(("u", "w", "x", "y", "z"))
+    a_triples = [("z", "u", "w"), ("x", "u", "w"), ("x", "y", "w"), ("x", "y", "z"), ("y", "z", "u")]
+    entries = {}
+    for tri in taxa.triples():
+        on_a = any(set(tri) == set(t) for t in a_triples)
+        entries[tri] = "a" if on_a else "b"
+    return TernaryMap(taxa, SymbolAlphabet(frozenset(("a", "b"))), entries)

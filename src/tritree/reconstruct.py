@@ -1,21 +1,31 @@
-"""Bottom-up reconstruction of a colored tree from a ternary map.
+"""Reconstruction of a colored tree from a ternary map, by two routes.
 
-Two taxa merge under a symbol m when some triple through both takes the value
-m and every other triple takes m through one exactly when it does through the
-other.  In a map that encodes a tree, the classes of this relation with two
-or more members are exactly the pseudo-cherries: the groups of all leaves
-sharing one interior vertex, whose color is the class symbol.
+The accept route costs O(n^3), linear in the map's C(n, 3) triples.  Rooted
+at the smallest taxon r, the median of r, x and y is the lowest common
+ancestor of x and y, so the triples through r form a symbolic ultrametric.
+Its discriminating rooted tree is built top-down: the vertex above a leaf set
+S has the one color c for which the graph joining x and y in S whenever
+value(r, x, y) differs from c is disconnected, and the components are its
+children.  The result is certified against the map triple by triple.
 
-Reconstruction contracts one class into a composite leaf taxon, recurses on
-the reduced map, and then expands the composite back.  Expansion looks at the
-vertex the composite leaf hangs from: when that vertex already carries the
-class symbol, the class members attach directly to it (the class vertex kept
-other neighbors besides its leaves); otherwise the composite leaf turns into
-a fresh interior vertex with the class symbol (the class vertex had been
+The explain route is the paper's bottom-up contraction.  It runs when the
+contraction steps are observed (``--trace``) and when the accept route finds
+no tree, so that every rejection says why.  Two taxa merge under a symbol m
+when some triple through both takes the value m and every other triple takes
+m through one exactly when it does through the other.  In a map that encodes
+a tree, the classes of this relation with two or more members are exactly
+the pseudo-cherries: the groups of all leaves sharing one interior vertex,
+whose color is the class symbol.
+
+The explain route contracts one class into a composite leaf taxon, recurses
+on the reduced map, and then expands the composite back.  Expansion looks at
+the vertex the composite leaf hangs from: when that vertex already carries
+the class symbol, the class members attach directly to it (the class vertex
+kept other neighbors besides its leaves); otherwise the composite leaf turns
+into a fresh interior vertex with the class symbol (the class vertex had been
 suppressed in the reduced tree).  Both ways no two adjacent interior vertices
-ever share a color.  The candidate tree is certified at the end by
-re-encoding it, so every map that is not an encoding is rejected, at the
-latest, there.
+ever share a color.  The candidate tree is certified at the end, so every map
+that is not an encoding is rejected, at the latest, there.
 
 Composite taxa are named ``@1``, ``@2``, ... which is why ``@`` is banned as
 the first character of input taxa.
@@ -28,7 +38,7 @@ from itertools import combinations, count
 from typing import Callable, Iterable, Iterator
 
 from .core import TaxonSet, TernaryMap, build_ternary, check_identifier
-from .tree import ColoredTree
+from .tree import ColoredTree, _median_colors, _renumbered
 
 __all__ = [
     "ContractionStep",
@@ -240,26 +250,106 @@ def _grow(
     return edges, colors
 
 
+def _first_mismatch(
+    tmap: TernaryMap, encoded: Iterable[tuple[tuple[str, str, str], str]]
+) -> tuple[tuple[str, str, str], str, str] | None:
+    """The first triple on which a candidate's encoding, given in canonical
+    order, differs from the map, with both values; None when they agree."""
+    for tri, got in encoded:
+        want = tmap.triple_value(tri)
+        if got != want:
+            return tri, got, want
+    return None
+
+
+def _split(group: list[int], value: list[list[str]], color: str) -> list[list[int]]:
+    """Components of the graph on group joining x and y when value[x][y] != color."""
+    left = set(group)
+    parts = []
+    while left:
+        part = [left.pop()]
+        for x in part:
+            row = value[x]
+            near = [y for y in left if row[y] != color]
+            left.difference_update(near)
+            part += near
+        parts.append(part)
+    return parts
+
+
+def _top_down(tmap: TernaryMap) -> ColoredTree | None:
+    """The tree of the accept route, or None when the triples through the
+    smallest taxon (position 0) build no tree or it does not encode the map.
+
+    For leaf set S and x = S[0], the leaves y whose ancestor in common with x
+    is highest give the vertex's color.  Ancestors of different colors
+    compare exactly (the higher is that of whichever of y and z has with x
+    the value y and z have), so the scan keeps every leaf seen at the highest
+    level known.  LCAs are recorded as the tree grows, to certify it before
+    any ColoredTree is made.
+    """
+    names = tmap.taxa.names
+    n = len(names)
+    value = [[""] * n for _ in range(n)]
+    lca = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            value[i][j] = value[j][i] = tmap.triple_value((names[0], names[i], names[j]))
+    edges: list[tuple[int, int]] = []
+    colors: dict[int, str] = {}
+    stack = [(list(range(1, n)), 0)]
+    while stack:
+        group, parent = stack.pop()
+        if len(group) == 1:
+            edges.append((group[0], parent))
+            continue
+        row = value[group[0]]
+        top = [group[1]]
+        for z in group[2:]:
+            if row[z] == row[top[0]]:
+                top.append(z)
+            elif all(value[t][z] == row[z] for t in top):
+                top = [z]
+        color = row[top[0]]
+        parts = _split(group, value, color)
+        if len(parts) == 1:
+            return None
+        vertex = n + len(colors)
+        colors[vertex] = color
+        edges.append((vertex, parent))
+        for a, b in combinations(parts, 2):
+            for x in a:
+                for y in b:
+                    lca[x][y] = lca[y][x] = vertex
+        stack.extend((part, vertex) for part in parts)
+    if _first_mismatch(tmap, _median_colors(names, lca, colors)) is not None:
+        return None
+    return ColoredTree(edges, dict(enumerate(names)), colors)
+
+
 def reconstruct_tree(
     tmap: TernaryMap, on_step: Callable[[ContractionStep], None] | None = None
 ) -> ColoredTree:
     """The discriminating colored tree whose encoding is the given map.
 
     Raises NotAMetricError when no such tree exists.  ``on_step`` observes
-    each contraction, in order.  The result is discriminating by
-    construction and certified by re-encoding.
+    each contraction of the bottom-up route, in order; passing it selects
+    that route.  Either way the result is discriminating by construction,
+    certified against the map, and numbered alike: leaf i carries the i-th
+    taxon in sorted order, and interior vertices count up from n in the
+    order write_newick prints them.
     """
-    names = tmap.taxa.names
-    leaf_of = {name: i for i, name in enumerate(names)}
-    edges, colors = _grow(tmap, leaf_of, count(len(names)), on_step, 0)
-    tree = ColoredTree(edges, dict(enumerate(names)), colors)
-    recoded = tree.encode()
-    if recoded != tmap:
-        for tri in tmap.taxa.triples():
-            got, want = recoded.triple_value(tri), tmap.triple_value(tri)
-            if got != want:
-                raise NotAMetricError(
-                    f"no tree encodes this map: the candidate tree gives {got} on "
-                    f"{' '.join(tri)} where the map gives {want}"
-                )
-    return tree
+    tree = _top_down(tmap) if on_step is None else None
+    if tree is None:
+        names = tmap.taxa.names
+        leaf_of = {name: i for i, name in enumerate(names)}
+        edges, colors = _grow(tmap, leaf_of, count(len(names)), on_step, 0)
+        tree = ColoredTree(edges, dict(enumerate(names)), colors)
+        mismatch = _first_mismatch(tmap, tree.median_colors())
+        if mismatch is not None:
+            tri, got, want = mismatch
+            raise NotAMetricError(
+                f"no tree encodes this map: the candidate tree gives {got} on "
+                f"{' '.join(tri)} where the map gives {want}"
+            )
+    return _renumbered(tree)

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .core import SymbolAlphabet, TaxonSet, TernaryMap, check_identifier
-from .quartets import Quartet, QuartetSystem, pairings
+from .quartets import Quartet, QuartetSystem
 
 __all__ = [
     "ColoredTree",
@@ -54,7 +54,7 @@ class ColoredTree:
     sets must partition the vertex set.
     """
 
-    __slots__ = ("edges", "leaf_taxa", "colors", "taxa", "_adj", "_leaf_of", "_parent_cache")
+    __slots__ = ("edges", "leaf_taxa", "colors", "taxa", "_adj", "_leaf_of", "_lca")
 
     def __init__(
         self,
@@ -100,13 +100,7 @@ class ColoredTree:
         for u, v in edge_set:
             adj[u].append(v)
             adj[v].append(u)
-        start = next(iter(vertices))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            seen.update(nxt := [u for v in frontier for u in adj[v] if u not in seen])
-            frontier = nxt
-        if len(seen) != len(vertices):
+        if len(_breadth_first(adj, next(iter(vertices)))[0]) != len(vertices):
             raise TreeValidationError("not a tree: the edge set is not connected")
         for v in sorted(vertices):
             d = len(adj[v])
@@ -131,7 +125,7 @@ class ColoredTree:
         self.taxa = taxa
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
         self._leaf_of = {name: v for v, name in leaves.items()}
-        self._parent_cache: dict[int, dict[int, int | None]] = {}
+        self._lca: list[list[int]] | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -175,66 +169,64 @@ class ColoredTree:
 
     # -- medians and encoding ----------------------------------------------
 
-    def _parents_from(self, root: int) -> dict[int, int | None]:
-        cached = self._parent_cache.get(root)
-        if cached is not None:
-            return cached
-        parents: dict[int, int | None] = {root: None}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self._adj[v]:
-                    if u not in parents:
-                        parents[u] = v
-                        nxt.append(u)
-            frontier = nxt
-        self._parent_cache[root] = parents
-        return parents
+    def _lca_table(self) -> list[list[int]]:
+        """Lowest common ancestors of leaf pairs, indexed by taxon position,
+        with the tree rooted at the leaf of the smallest taxon.
 
-    def _path_vertices(self, x: str, y: str) -> set[int]:
-        parents = self._parents_from(self._leaf_of[x])
-        verts: set[int] = set()
-        v: int | None = self._leaf_of[y]
-        while v is not None:
-            verts.add(v)
-            v = parents[v]
-        return verts
+        Whatever the root, the median of three leaves is the deepest of their
+        three pairwise LCAs: two of them coincide and the third is that
+        vertex or lies below it.
+        """
+        if self._lca is None:
+            n = len(self.taxa)
+            root = self._leaf_of[self.taxa.names[0]]
+            self._lca = table = [[root] * n for _ in range(n)]
+            order, parent = _breadth_first(self._adj, root)
+            below: dict[int, list[int]] = {}
+            for v in reversed(order[1:]):
+                if v in self.leaf_taxa:
+                    below[v] = [self.taxa.index(self.leaf_taxa[v])]
+                    continue
+                parts = [below.pop(u) for u in self._adj[v] if u != parent[v]]
+                for a, b in combinations(parts, 2):
+                    for i in a:
+                        for j in b:
+                            table[i][j] = table[j][i] = v
+                below[v] = [i for part in parts for i in part]
+        return self._lca
 
     def median(self, x: str, y: str, z: str) -> int:
         """The single vertex lying on all three pairwise paths between the taxa."""
-        for t in (x, y, z):
-            self.taxa.require(t)
+        i, j, k = (self.taxa.index(t) for t in (x, y, z))
         if len({x, y, z}) != 3:
             raise ValueError("the median is defined for three distinct taxa")
-        parents = self._parents_from(self._leaf_of[x])
-        on_xy: set[int] = set()
-        v: int | None = self._leaf_of[y]
-        while v is not None:
-            on_xy.add(v)
-            v = parents[v]
-        w = self._leaf_of[z]
-        while w not in on_xy:
-            w = parents[w]  # type: ignore[assignment]
-        return w
+        lca = self._lca_table()
+        return _deepest(lca[i][j], lca[i][k], lca[j][k])
+
+    def median_colors(self) -> Iterator[tuple[tuple[str, str, str], str]]:
+        """Each 3-subset of taxa in canonical order with its median's color."""
+        return _median_colors(self.taxa.names, self._lca_table(), self.colors)
 
     def encode(self) -> TernaryMap:
         """The ternary map sending each 3-subset of taxa to its median's color."""
         alphabet = SymbolAlphabet(frozenset(self.colors.values()))
-        values = {tri: self.colors[self.median(*tri)] for tri in self.taxa.triples()}
-        return TernaryMap(self.taxa, alphabet, values)
+        return TernaryMap(self.taxa, alphabet, dict(self.median_colors()))
 
     def displayed_quartets(self) -> QuartetSystem:
-        """Quartets a b | c d whose two pair paths share no vertex."""
-        paths = {
-            (x, y): frozenset(self._path_vertices(x, y))
-            for x, y in combinations(self.taxa.names, 2)
-        }
+        """Quartets a b | c d whose two pair paths share no vertex.
+
+        That holds exactly when median(a, b, c) = median(a, b, d) differs
+        from median(a, c, d).
+        """
         members = []
-        for quad in combinations(self.taxa.names, 4):
-            for pair, other in pairings(*quad):
-                if paths[pair].isdisjoint(paths[other]):
-                    members.append(Quartet(pair, other))
+        for a, b, c, d in combinations(self.taxa.names, 4):
+            abc, abd, acd = self.median(a, b, c), self.median(a, b, d), self.median(a, c, d)
+            if abc == abd != acd:
+                members.append(Quartet.of(a, b, c, d))
+            elif abc == acd != abd:
+                members.append(Quartet.of(a, c, b, d))
+            elif abd == acd != abc:
+                members.append(Quartet.of(a, d, b, c))
         return QuartetSystem(self.taxa, members)
 
     # -- comparison ----------------------------------------------------------
@@ -245,6 +237,42 @@ class ColoredTree:
 
     def __repr__(self) -> str:
         return f"ColoredTree(leaves={len(self.leaf_taxa)}, interior={len(self.colors)})"
+
+
+def _deepest(ij: int, ik: int, jk: int) -> int:
+    """The median from the three pairwise LCAs: the one unlike the other two."""
+    if ij == ik:
+        return jk
+    return ik if ij == jk else ij
+
+
+def _median_colors(
+    names: tuple[str, ...], lca: list[list[int]], colors: Mapping[int, str]
+) -> Iterator[tuple[tuple[str, str, str], str]]:
+    """Each 3-subset of names in canonical order with its median's color,
+    from a table of pairwise LCAs in any rooting, indexed by position."""
+    n = len(names)
+    for i in range(n):
+        row_i = lca[i]
+        for j in range(i + 1, n):
+            row_j = lca[j]
+            ij = row_i[j]
+            for k in range(j + 1, n):
+                yield (names[i], names[j], names[k]), colors[_deepest(ij, row_i[k], row_j[k])]
+
+
+def _breadth_first(
+    adj: Mapping[int, Iterable[int]], root: int
+) -> tuple[list[int], dict[int, int | None]]:
+    """Vertices reachable from root in breadth-first order, and each one's parent."""
+    order = [root]
+    parent: dict[int, int | None] = {root: None}
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def canonical_code(
@@ -259,16 +287,16 @@ def canonical_code(
     distinct prefixes so child codes always sort without type clashes.
     """
     root_leaf = min(leaf_names, key=leaf_names.__getitem__)
-
-    def rec(v: int, parent: int | None) -> tuple:
-        if v in leaf_names:
-            return ("0leaf", leaf_names[v])
-        mark = "1int" if colors is None else "1int:" + colors[v]
-        kids = sorted(rec(u, v) for u in adj[v] if u != parent)
-        return (mark, tuple(kids))
-
     (neighbor,) = tuple(adj[root_leaf])
-    return (leaf_names[root_leaf], rec(neighbor, root_leaf))
+    order, parent = _breadth_first(adj, root_leaf)
+    code: dict[int, tuple] = {}
+    for v in reversed(order):
+        if v in leaf_names:
+            code[v] = ("0leaf", leaf_names[v])
+            continue
+        mark = "1int" if colors is None else "1int:" + colors[v]
+        code[v] = (mark, tuple(sorted(code[u] for u in adj[v] if u != parent[v])))
+    return (leaf_names[root_leaf], code[neighbor])
 
 
 def trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
@@ -314,42 +342,57 @@ class _Cursor:
 
 
 def _parse_subtree(cur: _Cursor) -> tuple:
-    cur.skip_ws()
-    ch = cur.peek()
-    if ch == "(":
-        cur.pos += 1
-        children = [_parse_subtree(cur)]
+    """One subtree as nested ("int", label, children, label_pos) and
+    ("leaf", name, name_pos) tuples.  Open parentheses are kept on a stack,
+    so nesting depth is bounded by memory, not by the recursion limit."""
+    open_children: list[list[tuple]] = []
+    while True:
         cur.skip_ws()
-        while cur.peek() == ",":
+        ch = cur.peek()
+        if ch == "(":
             cur.pos += 1
-            children.append(_parse_subtree(cur))
-            cur.skip_ws()
-        if cur.peek() != ")":
-            cur.fail("expected ',' or ')'")
-        cur.pos += 1
-        cur.skip_ws()
-        label_pos = cur.pos
-        label = cur.scan_name()
+            open_children.append([])
+            continue
+        if ch == "":
+            cur.fail("unexpected end of input")
+        if ch == ":":
+            cur.fail("branch lengths are not supported")
+        if ch in _NAME_STOP:
+            cur.fail(f"unexpected character {ch!r}")
+        name_pos = cur.pos
+        name = cur.scan_name()
         cur.reject_branch_length()
-        return ("int", label or None, children, label_pos)
-    if ch == "":
-        cur.fail("unexpected end of input")
-    if ch == ":":
-        cur.fail("branch lengths are not supported")
-    if ch in _NAME_STOP:
-        cur.fail(f"unexpected character {ch!r}")
-    name_pos = cur.pos
-    name = cur.scan_name()
-    cur.reject_branch_length()
-    return ("leaf", name, name_pos)
+        node: tuple = ("leaf", name, name_pos)
+        # Close every group this subtree ends, up to the next sibling.
+        while open_children:
+            open_children[-1].append(node)
+            cur.skip_ws()
+            if cur.peek() == ",":
+                cur.pos += 1
+                break
+            if cur.peek() != ")":
+                cur.fail("expected ',' or ')'")
+            cur.pos += 1
+            cur.skip_ws()
+            label_pos = cur.pos
+            label = cur.scan_name()
+            cur.reject_branch_length()
+            node = ("int", label or None, open_children.pop(), label_pos)
+        else:
+            return node
 
 
-def _collect_leaves(spec: tuple, out: list[tuple[str, int]]) -> None:
-    if spec[0] == "leaf":
-        out.append((spec[1], spec[2]))
-    else:
-        for child in spec[2]:
-            _collect_leaves(child, out)
+def _collect_leaves(spec: tuple) -> list[tuple[str, int]]:
+    """(name, position) of every leaf, left to right."""
+    out = []
+    stack = [spec]
+    while stack:
+        node = stack.pop()
+        if node[0] == "leaf":
+            out.append((node[1], node[2]))
+        else:
+            stack.extend(reversed(node[2]))
+    return out
 
 
 def parse_newick(text: str) -> ColoredTree:
@@ -369,8 +412,7 @@ def parse_newick(text: str) -> ColoredTree:
     if cur.pos != len(cur.text):
         cur.fail("trailing content after ';'")
 
-    leaf_specs: list[tuple[str, int]] = []
-    _collect_leaves(root, leaf_specs)
+    leaf_specs = _collect_leaves(root)
     for name, pos in leaf_specs:
         if name.startswith("@"):
             raise NewickParseError(
@@ -387,22 +429,30 @@ def parse_newick(text: str) -> ColoredTree:
     colors: dict[int, str] = {}
     counter = len(names)
 
-    def build(spec: tuple, required_label: bool = True) -> int:
+    def build(spec: tuple) -> int:
+        """Number the subtree's vertices in pre-order and add its edges; the
+        subtree's own vertex id is returned."""
         nonlocal counter
-        if spec[0] == "leaf":
-            vid = leaf_id[spec[1]]
-            leaf_taxa[vid] = spec[1]
-            return vid
-        _, label, children, label_pos = spec
-        if label is None and required_label:
-            raise NewickParseError("interior vertex needs a color label", label_pos)
-        vid = counter
-        counter += 1
-        if label is not None:
-            colors[vid] = label
-        for child in children:
-            edges.append((vid, build(child)))
-        return vid
+        top = -1
+        stack: list[tuple[tuple, int | None]] = [(spec, None)]
+        while stack:
+            node, parent = stack.pop()
+            if node[0] == "leaf":
+                vid = leaf_id[node[1]]
+                leaf_taxa[vid] = node[1]
+            else:
+                _, label, children, label_pos = node
+                if label is None:
+                    raise NewickParseError("interior vertex needs a color label", label_pos)
+                vid = counter
+                counter += 1
+                colors[vid] = label
+                stack.extend((child, vid) for child in reversed(children))
+            if parent is None:
+                top = vid
+            else:
+                edges.append((parent, vid))
+        return top
 
     if root[0] == "int" and root[1] is None:
         if len(root[2]) != 2:
@@ -417,22 +467,49 @@ def parse_newick(text: str) -> ColoredTree:
     return ColoredTree(edges, leaf_taxa, colors)
 
 
+def _rendered(tree: ColoredTree) -> tuple[int, dict[int, str]]:
+    """The interior neighbor of the smallest taxon, and the Newick text of
+    every subtree when the tree is rooted there."""
+    (root,) = tree.neighbors(tree.leaf_for(tree.taxa.names[0]))
+    order, parent = _breadth_first(tree._adj, root)
+    text: dict[int, str] = {}
+    for v in reversed(order):
+        if v in tree.leaf_taxa:
+            text[v] = tree.leaf_taxa[v]
+            continue
+        parts = sorted(text[u] for u in tree.neighbors(v) if u != parent[v])
+        text[v] = "(" + ",".join(parts) + ")" + tree.colors[v]
+    return root, text
+
+
 def write_newick(tree: ColoredTree) -> str:
     """Serialize a colored tree, rooted at the interior neighbor of the smallest taxon.
 
     Children are ordered by their rendered text, so equal trees print
     identically.
     """
-    smallest = tree.leaf_for(tree.taxa.names[0])
-    (root,) = tree.neighbors(smallest)
+    root, text = _rendered(tree)
+    return text[root] + ";"
 
-    def render(v: int, parent: int | None) -> str:
-        if v in tree.leaf_taxa:
-            return tree.leaf_taxa[v]
-        parts = sorted(render(u, v) for u in tree.neighbors(v) if u != parent)
-        return "(" + ",".join(parts) + ")" + tree.colors[v]
 
-    return render(root, None) + ";"
+def _renumbered(tree: ColoredTree) -> ColoredTree:
+    """The tree with interior vertices numbered from the leaf count up, in the
+    order write_newick prints them.  Leaf ids must be 0 .. n-1 and stay."""
+    root, text = _rendered(tree)
+    first = len(tree.leaf_taxa)
+    new_id: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        new_id[v] = first + len(new_id)
+        kids = [u for u in tree.neighbors(v) if u in tree.colors and u not in new_id]
+        stack.extend(sorted(kids, key=text.__getitem__, reverse=True))
+    new_id.update((v, v) for v in tree.leaf_taxa)
+    return ColoredTree(
+        [(new_id[u], new_id[v]) for u, v in tree.edges],
+        tree.leaf_taxa,
+        {new_id[v]: color for v, color in tree.colors.items()},
+    )
 
 
 def to_dot(tree: ColoredTree) -> str:

@@ -8,14 +8,8 @@ deterministic.  At these sizes the cap never actually binds.
 
 from functools import lru_cache
 
-from tritree import (
-    ColoredTree,
-    SymbolAlphabet,
-    TaxonSet,
-    build_ternary,
-    enumerate_colorings,
-    enumerate_trees,
-)
+from tritree import ColoredTree, enumerate_colorings, enumerate_trees
+from tritree.oracle import two_cycle_map  # noqa: F401  (re-exported for the fixtures)
 
 PALETTE = ("a", "b", "c")
 CAP_PER_TOPOLOGY = 500
@@ -64,24 +58,33 @@ def cherry5() -> ColoredTree:
     return ColoredTree(edges, leaves, {5: "a", 6: "b"})
 
 
-def two_cycle_map():
-    """Two symbols tracing complementary 5-cycles over taxa u, w, x, y, z.
+def random_tree(rng, n: int, symbols: tuple[str, ...] = PALETTE) -> ColoredTree:
+    """A seeded random discriminating tree on t1..tn.
 
-    Keying each pair of taxa by the value of the complementary triple, the
-    'a' pairs form the cycle x-y-z-u-w-x and the 'b' pairs the cycle
-    x-z-w-y-u-x.  Every 4-subset splits 2-2, the full 5-set splits 5-5, so
-    the map passes the 4-subset check and fails the 5-subset check.
+    Each new leaf joins an interior vertex (about three times in ten) or a
+    fresh vertex splitting an edge; colors are drawn top-down, each avoiding
+    its parent's.
     """
-    taxa = TaxonSet(("u", "w", "x", "y", "z"))
-    a_triples = [
-        ("z", "u", "w"),
-        ("x", "u", "w"),
-        ("x", "y", "w"),
-        ("x", "y", "z"),
-        ("y", "z", "u"),
-    ]
-    entries = {}
-    for tri in taxa.triples():
-        on_a = any(set(tri) == set(t) for t in a_triples)
-        entries[tri] = "a" if on_a else "b"
-    return build_ternary(taxa, SymbolAlphabet(frozenset(("a", "b"))), entries)
+    hub = n
+    edges = [(0, hub), (1, hub), (2, hub)]
+    interior = [hub]
+    for leaf in range(3, n):
+        if rng.random() < 0.3:
+            edges.append((leaf, rng.choice(interior)))
+        else:
+            u, v = edges.pop(rng.randrange(len(edges)))
+            fresh = n + len(interior)
+            interior.append(fresh)
+            edges += [(u, fresh), (v, fresh), (leaf, fresh)]
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    colors = {hub: rng.choice(symbols)}
+    order = [hub]
+    for v in order:
+        for u in adj[v]:
+            if u >= n and u not in colors:
+                colors[u] = rng.choice([s for s in symbols if s != colors[v]])
+                order.append(u)
+    return ColoredTree(edges, {i: f"t{i + 1}" for i in range(n)}, colors)

@@ -150,6 +150,16 @@ class TestReconstruct:
         assert out.startswith("graph colored_tree {")
         assert out.count(" -- ") == 7
 
+    def test_dot_ids_follow_the_newick_order_with_or_without_trace(self, tmp_path, capsys):
+        tree = parse_newick("((((t1,t7)a,t3)b,(t4,t6)a)c,(t2,t5)b,t8)a;")
+        table = tmp_path / "tree.table"
+        table.write_text(tree.encode().to_table_text(), encoding="utf-8")
+        assert main(["reconstruct", str(table), "--dot"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["reconstruct", str(table), "--dot", "--trace"]) == 0
+        assert capsys.readouterr().out == plain
+        assert "  v8 [shape=circle" in plain and "  v0 -- v8;" in plain
+
     def test_non_metric_exits_1(self, two_cycle_table, capsys):
         assert main(["reconstruct", two_cycle_table]) == 1
         assert "no pair of taxa merges" in capsys.readouterr().err
@@ -221,6 +231,20 @@ class TestSelftestAndPlumbing:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
         assert all(line.startswith("ok ") for line in lines)
+
+    @pytest.mark.parametrize("command", ["encode", "verify", "reconstruct", "quartets", "check-binary"])
+    def test_bytes_that_are_not_utf8_exit_3(self, tmp_path, capsys, command):
+        path = tmp_path / "input"
+        path.write_bytes(STAR4_TABLE.encode() + b"t1 t2 \xff a\n")
+        assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_deep_unclosed_nesting_exits_3(self, tmp_path, capsys):
+        path = write_tree(tmp_path, "(" * 3000)
+        assert main(["encode", path]) == 3
+        assert capsys.readouterr().err == "error: unexpected end of input (at position 3000)\n"
 
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
-"""Merging, contraction, and bottom-up tree reconstruction."""
+"""Merging, contraction, and the top-down and bottom-up reconstructions."""
 
+import random
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from tritree import (
     NotAMetricError,
     SymbolAlphabet,
     TaxonSet,
+    TernaryMap,
     build_ternary,
     contract_class,
     equivalence_classes,
@@ -19,7 +21,9 @@ from tritree import (
     verify_metric,
     write_newick,
 )
+from tritree.reconstruct import _top_down
 
+import helpers
 import strategies
 
 
@@ -192,3 +196,77 @@ class TestReconstruct:
     @given(strategies.corpus_trees())
     def test_roundtrip_over_the_corpus(self, tree):
         assert trees_isomorphic(reconstruct_tree(tree.encode()), tree)
+
+
+def bottom_up(tmap):
+    """The tree of the explain route, which observing the steps selects; None on rejection."""
+    try:
+        return reconstruct_tree(tmap, on_step=lambda step: None)
+    except NotAMetricError:
+        return None
+
+
+class TestTopDown:
+    """The accept route against the references: the corpus, the bottom-up
+    route, and the metric conditions."""
+
+    def test_accepts_every_corpus_encoding(self):
+        for n in (3, 4, 5, 6):
+            for tree, tmap in helpers.encoded_corpus(n):
+                rebuilt = _top_down(tmap)
+                assert rebuilt is not None, tmap.to_table_text()
+                assert trees_isomorphic(rebuilt, tree)
+
+    def test_agrees_with_bottom_up_on_all_two_symbol_5_taxon_maps(self):
+        taxa = TaxonSet(("t1", "t2", "t3", "t4", "t5"))
+        alphabet = SymbolAlphabet(frozenset("ab"))
+        triples = tuple(taxa.triples())
+        for values in product("ab", repeat=10):
+            tmap = TernaryMap(taxa, alphabet, dict(zip(triples, values)))
+            fast, slow = _top_down(tmap), bottom_up(tmap)
+            assert (fast is None) == (slow is None), tmap.to_table_text()
+            if fast is not None:
+                assert trees_isomorphic(fast, slow)
+
+    def test_accepts_exactly_the_metric_three_symbol_5_taxon_maps(self):
+        taxa = TaxonSet(("t1", "t2", "t3", "t4", "t5"))
+        alphabet = SymbolAlphabet(frozenset("abc"))
+        triples = tuple(taxa.triples())
+        accepted = 0
+        for values in product("abc", repeat=10):
+            tmap = TernaryMap(taxa, alphabet, dict(zip(triples, values)))
+            fast = _top_down(tmap)
+            assert (fast is not None) == verify_metric(tmap).is_metric, tmap.to_table_text()
+            accepted += fast is not None
+        # Colored trees on five taxa over three colors, one per encoding.
+        assert accepted == len(helpers.colored_trees(5))
+
+    def test_agrees_with_bottom_up_on_perturbed_encodings(self):
+        rng = random.Random(20170202)
+        for _ in range(200):
+            tree = helpers.random_tree(rng, rng.randint(4, 10), ("a", "b", "c"))
+            values = dict(tree.encode().entries())
+            for tri in rng.sample(list(values), rng.randint(1, 2)):
+                values[tri] = rng.choice([s for s in "abc" if s != values[tri]])
+            tmap = TernaryMap(tree.taxa, SymbolAlphabet(frozenset("abc")), values)
+            fast, slow = _top_down(tmap), bottom_up(tmap)
+            assert (fast is None) == (slow is None), tmap.to_table_text()
+            if fast is not None:
+                assert trees_isomorphic(fast, slow)
+
+    def test_accepts_random_encodings_beyond_the_corpus(self):
+        rng = random.Random(3)
+        for n in (7, 12, 30):
+            tree = helpers.random_tree(rng, n, ("a", "b", "c", "d"))
+            rebuilt = _top_down(tree.encode())
+            assert rebuilt is not None
+            assert trees_isomorphic(rebuilt, tree)
+
+    def test_both_routes_number_vertices_alike(self):
+        tree = parse_newick("((((t1,t7)a,t3)b,(t4,t6)a)c,(t2,t5)b,t8)a;")
+        fast = reconstruct_tree(tree.encode())
+        slow = reconstruct_tree(tree.encode(), on_step=lambda step: None)
+        assert (fast.edges, fast.colors) == (slow.edges, slow.colors)
+        # Interior vertices count up from n in the order write_newick prints them.
+        assert write_newick(fast) == "(((((t2,t5)b,t8)a,(t4,t6)a)c,t3)b,t1,t7)a;"
+        assert [fast.colors[v] for v in sorted(fast.colors)] == ["a", "b", "c", "a", "b", "a"]

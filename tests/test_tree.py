@@ -235,6 +235,19 @@ class TestNewick:
         assert trees_isomorphic(back, tree)
         assert write_newick(back) == text
 
+    def test_deep_caterpillar_roundtrip(self):
+        # 1100 leaves nest about 1100 deep, past the default recursion limit.
+        text = "t0001"
+        for i in range(2, 1099):
+            text = f"({text},t{i:04d}){'ab'[i % 2]}"
+        text = f"({text},t1099,t1100)b;"
+        tree = parse_newick(text)
+        assert len(tree.leaf_taxa) == 1100
+        written = write_newick(tree)
+        assert written.startswith("(" * 1097) and written.endswith(",t0001,t0002)a;")
+        assert write_newick(parse_newick(written)) == written
+        assert tree.canonical_form()[0] == "t0001"
+
     @pytest.mark.parametrize(
         "text, complaint",
         [
