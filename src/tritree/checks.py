@@ -14,6 +14,10 @@ resolver condition:
 A map is accepted as a metric when the 4- and 5-subset checks pass.  The
 resolver check is reported separately: together with the others it marks the
 maps encoded by binary trees.
+
+verify_metric accepts in O(n^3): a map passes both subset checks exactly when
+reconstruct.certified_tree finds its tree, whose star 4-subsets are then the
+resolver check's failures.  The scans explain rejections and are the reference.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from typing import Iterable
 
 from .core import TernaryMap
 from .quartets import resolved_quartet
+from .reconstruct import certified_tree
+from .tree import ColoredTree, _quad_medians
 
 __all__ = [
     "K5Type",
@@ -172,14 +178,35 @@ def verify_metric(
     strict_star: bool = True,
     fail_fast: bool = False,
 ) -> MetricReport:
-    """Run the 4- and 5-subset checks, and optionally the resolver check."""
+    """Run the 4- and 5-subset checks, and optionally the resolver check;
+    a certified tree answers all three, and the scans run only without one."""
+    tree = certified_tree(tmap)
+    if tree is not None:
+        star = _unresolved_stars(tree, fail_fast) if include_star else ()
+        return MetricReport((), include_star, star)
     violations = check_condition3(tmap, fail_fast=fail_fast)
     if not (fail_fast and violations):
         violations += check_condition4(tmap, fail_fast=fail_fast)
-    star: tuple[Violation, ...] = ()
-    if include_star:
-        star = check_star(tmap, strict=strict_star, fail_fast=fail_fast)
+    star = check_star(tmap, strict=strict_star, fail_fast=fail_fast) if include_star else ()
     return MetricReport(violations, include_star, star)
+
+
+def _unresolved_stars(tree: ColoredTree, fail_fast: bool) -> tuple[Violation, ...]:
+    """check_star's lines for the tree's encoding, under either reading: the
+    4-subsets whose triples all share one median, in combinations order.
+    That median has degree 4 or more, so a binary tree has none."""
+    if tree.is_binary():
+        return ()
+    names = tree.taxa.names
+    where = "with no resolving taxon" if len(names) > 4 else "and no taxa outside the 4-subset"
+    found = []
+    for i, j, k, l, ijk, ijl, ikl in _quad_medians(tree._lca_table()):
+        if ijk == ijl == ikl:
+            quad = (names[i], names[j], names[k], names[l])
+            found.append(Violation("*", quad, f"constant value {tree.colors[ijk]} {where}"))
+            if fail_fast:
+                break
+    return tuple(found)
 
 
 def is_binary_encodable(tmap: TernaryMap, *, strict_star: bool = True) -> bool:

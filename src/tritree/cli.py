@@ -23,7 +23,7 @@ from .core import (
 )
 from .oracle import enumerate_colorings, enumerate_trees, two_cycle_map
 from .quartets import generate_quartets
-from .reconstruct import NotAMetricError, reconstruct_tree
+from .reconstruct import NotAMetricError, certified_tree, reconstruct_tree
 from .tree import (
     NewickParseError,
     TreeValidationError,
@@ -37,10 +37,14 @@ __all__ = ["build_parser", "main", "run"]
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
+    if path != "-":
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    if not hasattr(sys.stdin, "buffer"):  # a text stream put in place of stdin
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    # Strict UTF-8 as for files, whatever the locale, with text mode's newlines.
+    text = sys.stdin.buffer.read().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -97,6 +101,10 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _cmd_quartets(args: argparse.Namespace) -> int:
     tmap = TernaryMap.from_table_text(_read_text(args.table))
+    tree = certified_tree(tmap)
+    if tree is not None:
+        _write_text(args.output, tree.displayed_quartets().to_text())
+        return 0
     violations = check_condition3(tmap)
     if violations:
         for violation in violations:

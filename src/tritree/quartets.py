@@ -9,6 +9,10 @@ A quartet is an unordered split of four taxa into two pairs, written
   for every outside taxon ``e`` that resolves one of its three pairings:
   both within-pair triples through ``e`` keep the value ``m`` while all
   four cross-pair triples through ``e`` share a single other value.
+
+On a map that encodes a tree these are the tree's displayed quartets, listed
+from the certified tree; the scan over 4-subsets and resolvers runs on other
+maps and is the reference.
 """
 
 from __future__ import annotations
@@ -163,6 +167,14 @@ def generate_quartets(tmap: TernaryMap) -> QuartetSystem:
     4-subset carries at most two values, and two only in a 2-2 split).
     4-subsets that violate that assumption induce nothing here.
     """
+    from .reconstruct import certified_tree  # reconstruct -> tree -> quartets
+
+    tree = certified_tree(tmap)
+    return _scan_quartets(tmap) if tree is None else tree.displayed_quartets()
+
+
+def _scan_quartets(tmap: TernaryMap) -> QuartetSystem:
+    """generate_quartets by the 4-subset and resolver scan, on any map."""
     found: set[Quartet] = set()
     names = tmap.taxa.names
     for quad in combinations(names, 4):

@@ -277,9 +277,11 @@ def _split(group: list[int], value: list[list[str]], color: str) -> list[list[in
     return parts
 
 
-def _top_down(tmap: TernaryMap) -> ColoredTree | None:
+def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
     """The tree of the accept route, or None when the triples through the
     smallest taxon (position 0) build no tree or it does not encode the map.
+    By the paper's characterization it is None exactly when the map fails the
+    4- or 5-subset check.
 
     For leaf set S and x = S[0], the leaves y whose ancestor in common with x
     is highest give the vertex's color.  Ancestors of different colors
@@ -339,7 +341,7 @@ def reconstruct_tree(
     taxon in sorted order, and interior vertices count up from n in the
     order write_newick prints them.
     """
-    tree = _top_down(tmap) if on_step is None else None
+    tree = certified_tree(tmap) if on_step is None else None
     if tree is None:
         names = tmap.taxa.names
         leaf_of = {name: i for i, name in enumerate(names)}

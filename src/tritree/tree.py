@@ -14,7 +14,7 @@ artifact of rooting an edge and is suppressed on input.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
 from .core import SymbolAlphabet, TaxonSet, TernaryMap, check_identifier
@@ -218,9 +218,10 @@ class ColoredTree:
         That holds exactly when median(a, b, c) = median(a, b, d) differs
         from median(a, c, d).
         """
+        names = self.taxa.names
         members = []
-        for a, b, c, d in combinations(self.taxa.names, 4):
-            abc, abd, acd = self.median(a, b, c), self.median(a, b, d), self.median(a, c, d)
+        for i, j, k, l, abc, abd, acd in _quad_medians(self._lca_table()):
+            a, b, c, d = names[i], names[j], names[k], names[l]
             if abc == abd != acd:
                 members.append(Quartet.of(a, b, c, d))
             elif abc == acd != abd:
@@ -261,6 +262,21 @@ def _median_colors(
                 yield (names[i], names[j], names[k]), colors[_deepest(ij, row_i[k], row_j[k])]
 
 
+def _quad_medians(lca: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Each 4-subset i < j < k < l of positions in combinations order, with the
+    medians of its triples ijk, ijl and ikl, from a table of pairwise LCAs.
+    The four medians of a 4-subset are one vertex or two vertices taken twice
+    each, so these three decide which."""
+    n = len(lca)
+    for i, j in combinations(range(n), 2):
+        ri, rj = lca[i], lca[j]
+        for k in range(j + 1, n):
+            rk = lca[k]
+            ijk = _deepest(ri[j], ri[k], rj[k])
+            for l in range(k + 1, n):
+                yield i, j, k, l, ijk, _deepest(ri[j], ri[l], rj[l]), _deepest(ri[k], ri[l], rk[l])
+
+
 def _breadth_first(
     adj: Mapping[int, Iterable[int]], root: int
 ) -> tuple[list[int], dict[int, int | None]]:
@@ -283,20 +299,22 @@ def canonical_code(
     """Canonical rooted code of a leaf-labeled tree, rooted at the smallest taxon.
 
     With ``colors`` the code separates trees up to colored isomorphism; without
-    it, up to plain leaf-labeled isomorphism.  Leaf and interior marks use
-    distinct prefixes so child codes always sort without type clashes.
+    it, up to plain leaf-labeled isomorphism.  The code is a flat tuple of
+    strings, with ")" closing each interior vertex's children, so comparing it
+    needs no recursion at any depth.
     """
     root_leaf = min(leaf_names, key=leaf_names.__getitem__)
     (neighbor,) = tuple(adj[root_leaf])
     order, parent = _breadth_first(adj, root_leaf)
-    code: dict[int, tuple] = {}
+    code: dict[int, tuple[str, ...]] = {}
     for v in reversed(order):
         if v in leaf_names:
             code[v] = ("0leaf", leaf_names[v])
             continue
         mark = "1int" if colors is None else "1int:" + colors[v]
-        code[v] = (mark, tuple(sorted(code[u] for u in adj[v] if u != parent[v])))
-    return (leaf_names[root_leaf], code[neighbor])
+        kids = sorted(code.pop(u) for u in adj[v] if u != parent[v])
+        code[v] = (mark, *chain.from_iterable(kids), ")")
+    return (leaf_names[root_leaf], *code[neighbor])
 
 
 def trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:

@@ -6,9 +6,20 @@ count exceeds the cap are thinned by a fixed stride, so the selection is
 deterministic.  At these sizes the cap never actually binds.
 """
 
+import random
 from functools import lru_cache
 
-from tritree import ColoredTree, enumerate_colorings, enumerate_trees
+from tritree import (
+    ColoredTree,
+    MetricReport,
+    SymbolAlphabet,
+    TernaryMap,
+    check_condition3,
+    check_condition4,
+    check_star,
+    enumerate_colorings,
+    enumerate_trees,
+)
 from tritree.oracle import two_cycle_map  # noqa: F401  (re-exported for the fixtures)
 
 PALETTE = ("a", "b", "c")
@@ -88,3 +99,54 @@ def random_tree(rng, n: int, symbols: tuple[str, ...] = PALETTE) -> ColoredTree:
                 colors[u] = rng.choice([s for s in symbols if s != colors[v]])
                 order.append(u)
     return ColoredTree(edges, {i: f"t{i + 1}" for i in range(n)}, colors)
+
+
+def perturbed(rng, tmap: TernaryMap, flips: int, symbols: tuple[str, ...] = PALETTE) -> TernaryMap:
+    """The map with `flips` random triples changed to another symbol."""
+    values = dict(tmap.entries())
+    for tri in rng.sample(list(values), flips):
+        values[tri] = rng.choice([s for s in symbols if s != values[tri]])
+    return TernaryMap(tmap.taxa, SymbolAlphabet(frozenset(symbols)), values)
+
+
+def random_encodings_and_perturbations(seed: int, count: int, max_n: int = 14):
+    """Encodings of seeded random trees on 4..max_n taxa over four colors,
+    each followed by copies with one and with two triples flipped."""
+    rng = random.Random(seed)
+    symbols = PALETTE + ("d",)
+    for _ in range(count):
+        tmap = random_tree(rng, rng.randint(4, max_n), symbols).encode()
+        yield tmap
+        yield perturbed(rng, tmap, 1, symbols)
+        yield perturbed(rng, tmap, 2, symbols)
+
+
+def metric_by_scans(tmap: TernaryMap) -> bool:
+    """The 4- and 5-subset checks by their reference scans."""
+    return not check_condition3(tmap) and not check_condition4(tmap)
+
+
+def scan_report(
+    tmap: TernaryMap,
+    *,
+    include_star: bool = False,
+    strict_star: bool = True,
+    fail_fast: bool = False,
+) -> MetricReport:
+    """verify_metric's report built from the reference scans alone."""
+    violations = check_condition3(tmap, fail_fast=fail_fast)
+    if not (fail_fast and violations):
+        violations += check_condition4(tmap, fail_fast=fail_fast)
+    star = check_star(tmap, strict=strict_star, fail_fast=fail_fast) if include_star else ()
+    return MetricReport(violations, include_star, star)
+
+
+# Every distinct verify_metric option set: strict_star matters only with include_star.
+VERIFY_OPTIONS = (
+    {"include_star": False, "strict_star": True, "fail_fast": False},
+    {"include_star": False, "strict_star": True, "fail_fast": True},
+    {"include_star": True, "strict_star": True, "fail_fast": False},
+    {"include_star": True, "strict_star": False, "fail_fast": False},
+    {"include_star": True, "strict_star": True, "fail_fast": True},
+    {"include_star": True, "strict_star": False, "fail_fast": True},
+)

@@ -156,6 +156,34 @@ class TestVerifyMetric:
                 assert verify_metric(tmap.restrict(subset)).is_metric
 
 
+class TestCertifyThenExplain:
+    """verify_metric's certified route against the reference scans."""
+
+    def test_agrees_with_the_scans_on_all_two_symbol_5_taxon_maps(self):
+        for tmap in all_two_symbol_maps(5):
+            for options in helpers.VERIFY_OPTIONS:
+                want = helpers.scan_report(tmap, **options)
+                assert verify_metric(tmap, **options) == want, tmap.to_table_text()
+
+    def test_agrees_with_the_scans_on_random_trees_and_perturbations(self):
+        accepted = 0
+        for tmap in helpers.random_encodings_and_perturbations(seed=4, count=12):
+            for options in helpers.VERIFY_OPTIONS[2:]:
+                want = helpers.scan_report(tmap, **options)
+                assert verify_metric(tmap, **options) == want, tmap.to_table_text()
+            full = helpers.scan_report(tmap, include_star=True)
+            assert is_binary_encodable(tmap) == (full.is_metric and not full.star_violations)
+            accepted += full.is_metric
+        # With this seed only the twelve encodings are metric.
+        assert accepted == 12
+
+    def test_star_detail_without_outside_taxa(self, star4):
+        (violation,) = verify_metric(star4.encode(), include_star=True).star_violations
+        assert violation.line == (
+            "COND * SUBSET t1 t2 t3 t4 DETAIL constant value a and no taxa outside the 4-subset"
+        )
+
+
 class TestBinaryEncodable:
     def test_binary_tree_encoding(self, caterpillar_map):
         assert is_binary_encodable(caterpillar_map)

@@ -3,11 +3,17 @@
 import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tritree import parse_newick, trees_isomorphic, write_newick
+from tritree import check_condition3, parse_newick, trees_isomorphic, write_newick
 from tritree.cli import main
+from tritree.quartets import _scan_quartets
+
+import helpers
 
 STAR4_TABLE = (
     "taxa: t1 t2 t3 t4\n"
@@ -37,6 +43,45 @@ def write_tree(tmp_path, text):
     path = tmp_path / "tree.nwk"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def run_on_bytes(argv, data):
+    """main on argv ending in "-", with data as the bytes of stdin; exit code,
+    stdout and stderr."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def by_scans(argv, tmap):
+    """Exit code, stdout and stderr of a verify, check-binary or quartets run,
+    built from the reference scans."""
+    command, flags = argv[0], set(argv[1:])
+    strict = "--no-strict-star" not in flags
+    if command == "quartets":
+        violations = check_condition3(tmap)
+        if not violations:
+            return 0, _scan_quartets(tmap).to_text(), ""
+        undefined = "error: the map fails the 4-subset check, so its quartets are undefined\n"
+        return 1, "", "".join(v.line + "\n" for v in violations) + undefined
+    if command == "check-binary":
+        report = helpers.scan_report(tmap, include_star=True, strict_star=strict)
+        ok = report.is_metric and not report.star_violations
+        lines = "".join(v.line + "\n" for v in report.violations + report.star_violations)
+        return (0 if ok else 1), f"binary: {'yes' if ok else 'no'}\n", lines
+    star = "--star" in flags
+    report = helpers.scan_report(
+        tmap, include_star=star, strict_star=strict, fail_fast="--fail-fast" in flags
+    )
+    err = f"metric: {'yes' if report.is_metric else 'no'}\n"
+    if star:
+        err += f"resolver check: {'pass' if not report.star_violations else 'fail'}\n"
+    return (0 if report.is_metric else 1), report.to_text(), err
 
 
 class TestEncode:
@@ -225,6 +270,56 @@ class TestCheckBinary:
         assert capsys.readouterr().out == "binary: no\n"
 
 
+class TestCertifyThenExplain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["verify", "--star"],
+            ["verify", "--star", "--no-strict-star"],
+            ["verify", "--star", "--fail-fast"],
+            ["check-binary"],
+            ["check-binary", "--no-strict-star"],
+            ["quartets"],
+        ],
+    )
+    def test_output_equals_the_reference_scans(self, argv, two_cycle):
+        tables = [two_cycle, helpers.star_tree(5).encode()]
+        tables += helpers.random_encodings_and_perturbations(seed=6, count=4, max_n=9)
+        for tmap in tables:
+            got = run_on_bytes(argv + ["-"], tmap.to_table_text().encode())
+            assert got == by_scans(argv, tmap), tmap.to_table_text()
+
+
+MANGLE_SEEDS = (
+    STAR4_TABLE,
+    helpers.caterpillar5().encode().to_table_text(),
+    "(t1,t2,(t3,(t4,t5)c)b)a;",
+    "((t2,t5)b,(t3,t6)b,t1,t4)a;\n",
+)
+
+
+@st.composite
+def mangled(draw):
+    """A table or Newick text with a few byte strings inserted or cut out."""
+    data = draw(st.sampled_from(MANGLE_SEEDS)).encode()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 4))
+        data = data[:at] + draw(st.binary(max_size=4)) + data[at + cut :]
+    return data
+
+
+@settings(max_examples=120)
+@given(st.one_of(st.binary(max_size=120), mangled()))
+def test_arbitrary_bytes_get_an_exit_code_and_no_traceback(data):
+    # An exception escaping main is what would print a traceback.
+    for command in ("encode", "verify", "check-binary", "reconstruct", "quartets"):
+        code, _, err = run_on_bytes([command, "-"], data)
+        assert code in (0, 1, 2, 3)
+        assert err.startswith("error: ") or code != 3
+
+
 class TestSelftestAndPlumbing:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
@@ -240,6 +335,23 @@ class TestSelftestAndPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("reconstruct", b"taxa: a b c\nsymbols: x\na b \xff x\n"),
+            ("verify", STAR4_TABLE.replace("\n", "\r\n").encode()),
+            ("encode", b"(t1,\r\n(t2,t3)a,t4;\r\n"),
+        ],
+    )
+    def test_stdin_reads_like_a_file(self, tmp_path, capsys, command, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        code = main([command, str(path)])
+        from_file = capsys.readouterr()
+        # Lenient decoding, as under a C locale, must not turn a bad byte
+        # into a lone surrogate; newlines translate as in text mode.
+        assert run_on_bytes([command, "-"], data) == (code, from_file.out, from_file.err)
 
     def test_deep_unclosed_nesting_exits_3(self, tmp_path, capsys):
         path = write_tree(tmp_path, "(" * 3000)

@@ -21,7 +21,7 @@ from tritree import (
     verify_metric,
     write_newick,
 )
-from tritree.reconstruct import _top_down
+from tritree.reconstruct import certified_tree
 
 import helpers
 import strategies
@@ -169,9 +169,9 @@ class TestReconstruct:
             try:
                 tree = reconstruct_tree(tmap)
             except NotAMetricError:
-                assert not verify_metric(tmap).is_metric
+                assert not helpers.metric_by_scans(tmap)
             else:
-                assert verify_metric(tmap).is_metric
+                assert helpers.metric_by_scans(tmap)
                 assert tree.encode() == tmap
 
     @given(strategies.raw_maps(n=5, symbols=("a", "b")))
@@ -179,17 +179,17 @@ class TestReconstruct:
         try:
             tree = reconstruct_tree(tmap)
         except NotAMetricError:
-            assert not verify_metric(tmap).is_metric
+            assert not helpers.metric_by_scans(tmap)
         else:
             assert tree.encode() == tmap
-            assert verify_metric(tmap).is_metric
+            assert helpers.metric_by_scans(tmap)
 
     @given(strategies.raw_maps(n=6, symbols=("a", "b", "c")))
     def test_certificate_on_three_symbol_maps(self, tmap):
         try:
             tree = reconstruct_tree(tmap)
         except NotAMetricError:
-            assert not verify_metric(tmap).is_metric
+            assert not helpers.metric_by_scans(tmap)
         else:
             assert tree.encode() == tmap
 
@@ -213,7 +213,7 @@ class TestTopDown:
     def test_accepts_every_corpus_encoding(self):
         for n in (3, 4, 5, 6):
             for tree, tmap in helpers.encoded_corpus(n):
-                rebuilt = _top_down(tmap)
+                rebuilt = certified_tree(tmap)
                 assert rebuilt is not None, tmap.to_table_text()
                 assert trees_isomorphic(rebuilt, tree)
 
@@ -223,7 +223,7 @@ class TestTopDown:
         triples = tuple(taxa.triples())
         for values in product("ab", repeat=10):
             tmap = TernaryMap(taxa, alphabet, dict(zip(triples, values)))
-            fast, slow = _top_down(tmap), bottom_up(tmap)
+            fast, slow = certified_tree(tmap), bottom_up(tmap)
             assert (fast is None) == (slow is None), tmap.to_table_text()
             if fast is not None:
                 assert trees_isomorphic(fast, slow)
@@ -235,9 +235,14 @@ class TestTopDown:
         accepted = 0
         for values in product("abc", repeat=10):
             tmap = TernaryMap(taxa, alphabet, dict(zip(triples, values)))
-            fast = _top_down(tmap)
-            assert (fast is not None) == verify_metric(tmap).is_metric, tmap.to_table_text()
-            accepted += fast is not None
+            fast = certified_tree(tmap)
+            assert (fast is not None) == helpers.metric_by_scans(tmap), tmap.to_table_text()
+            if fast is not None:
+                # verify_metric's own route; without a tree it is the scans.
+                accepted += 1
+                for options in helpers.VERIFY_OPTIONS:
+                    want = helpers.scan_report(tmap, **options)
+                    assert verify_metric(tmap, **options) == want, tmap.to_table_text()
         # Colored trees on five taxa over three colors, one per encoding.
         assert accepted == len(helpers.colored_trees(5))
 
@@ -245,11 +250,8 @@ class TestTopDown:
         rng = random.Random(20170202)
         for _ in range(200):
             tree = helpers.random_tree(rng, rng.randint(4, 10), ("a", "b", "c"))
-            values = dict(tree.encode().entries())
-            for tri in rng.sample(list(values), rng.randint(1, 2)):
-                values[tri] = rng.choice([s for s in "abc" if s != values[tri]])
-            tmap = TernaryMap(tree.taxa, SymbolAlphabet(frozenset("abc")), values)
-            fast, slow = _top_down(tmap), bottom_up(tmap)
+            tmap = helpers.perturbed(rng, tree.encode(), rng.randint(1, 2))
+            fast, slow = certified_tree(tmap), bottom_up(tmap)
             assert (fast is None) == (slow is None), tmap.to_table_text()
             if fast is not None:
                 assert trees_isomorphic(fast, slow)
@@ -258,7 +260,7 @@ class TestTopDown:
         rng = random.Random(3)
         for n in (7, 12, 30):
             tree = helpers.random_tree(rng, n, ("a", "b", "c", "d"))
-            rebuilt = _top_down(tree.encode())
+            rebuilt = certified_tree(tree.encode())
             assert rebuilt is not None
             assert trees_isomorphic(rebuilt, tree)
 

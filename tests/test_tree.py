@@ -245,8 +245,10 @@ class TestNewick:
         assert len(tree.leaf_taxa) == 1100
         written = write_newick(tree)
         assert written.startswith("(" * 1097) and written.endswith(",t0001,t0002)a;")
-        assert write_newick(parse_newick(written)) == written
+        back = parse_newick(written)
+        assert write_newick(back) == written
         assert tree.canonical_form()[0] == "t0001"
+        assert trees_isomorphic(tree, back)
 
     @pytest.mark.parametrize(
         "text, complaint",
