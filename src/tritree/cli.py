@@ -22,7 +22,7 @@ from .core import (
     build_ternary,
 )
 from .oracle import enumerate_colorings, enumerate_trees, two_cycle_map
-from .quartets import generate_quartets
+from .quartets import _scan_quartets
 from .reconstruct import NotAMetricError, certified_tree, reconstruct_tree
 from .tree import (
     NewickParseError,
@@ -114,7 +114,7 @@ def _cmd_quartets(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    _write_text(args.output, generate_quartets(tmap).to_text())
+    _write_text(args.output, _scan_quartets(tmap).to_text())
     return 0
 
 

@@ -17,25 +17,17 @@ a tree, the classes of this relation with two or more members are exactly
 the pseudo-cherries: the groups of all leaves sharing one interior vertex,
 whose color is the class symbol.
 
-The explain route contracts one class into a composite leaf taxon, recurses
-on the reduced map, and then expands the composite back.  Expansion looks at
-the vertex the composite leaf hangs from: when that vertex already carries
-the class symbol, the class members attach directly to it (the class vertex
-kept other neighbors besides its leaves); otherwise the composite leaf turns
-into a fresh interior vertex with the class symbol (the class vertex had been
-suppressed in the reduced tree).  Both ways no two adjacent interior vertices
-ever share a color.  The candidate tree is certified at the end, so every map
-that is not an encoding is rejected, at the latest, there.
-
-Composite taxa are named ``@1``, ``@2``, ... which is why ``@`` is banned as
-the first character of input taxa.
+Each contraction replaces a class by a composite taxon, named ``@1``,
+``@2``, ... (which is why ``@`` is banned as the first character of input
+taxa).  The candidate tree is certified at the end, so every map that is not
+an encoding is rejected, at the latest, there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
-from typing import Callable, Iterable, Iterator
+from itertools import combinations
+from typing import Callable, Iterable
 
 from .core import TaxonSet, TernaryMap, build_ternary, check_identifier
 from .tree import ColoredTree, _median_colors, _renumbered
@@ -202,52 +194,51 @@ def contract_class(
 
 
 def _grow(
-    tmap: TernaryMap,
-    leaf_of: dict[str, int],
-    fresh: Iterator[int],
-    on_step: Callable[[ContractionStep], None] | None,
-    depth: int,
-) -> tuple[list[tuple[int, int]], dict[int, str]]:
-    """Edges and interior colors of the tree for tmap, attaching each current
-    taxon at the vertex leaf_of names for it."""
-    taxa = tmap.taxa.names
-    if len(taxa) == 3:
-        hub = next(fresh)
-        return [(leaf_of[t], hub) for t in taxa], {hub: tmap.triple_value(taxa)}
-    mergeable = equivalence_classes(tmap).nontrivial()
-    if not mergeable:
-        raise NotAMetricError("no pair of taxa merges, so the map encodes no tree")
-    members, symbol = min(mergeable)
-    if len(members) >= len(taxa) - 1:
-        # Zero or one taxon outside the class: everything meets at one vertex.
-        hub = next(fresh)
-        return [(leaf_of[t], hub) for t in taxa], {hub: symbol}
+    tmap: TernaryMap, on_step: Callable[[ContractionStep], None] | None
+) -> ColoredTree:
+    """The candidate tree for tmap, grown one contraction at a time.
 
-    contraction = contract_class(tmap, members, symbol, f"@{depth + 1}")
-    if on_step is not None:
-        on_step(contraction)
-    placeholder = next(fresh)
-    reduced_leaf_of = {
-        t: placeholder if t == contraction.new_taxon else leaf_of[t]
-        for t in contraction.reduced.taxa
-    }
-    edges, colors = _grow(contraction.reduced, reduced_leaf_of, fresh, on_step, depth + 1)
+    Each contraction adds a vertex with the class symbol joined to its
+    members' vertices; from then on the composite taxon stands for that
+    vertex.  The class holding all but at most one taxon closes the tree.
+    """
+    names = tmap.taxa.names
+    n = len(names)
+    vertex_of = {name: i for i, name in enumerate(names)}
+    # (child, parent) pairs; each vertex's edge to its parent comes after
+    # the edges below it.
+    edges: list[tuple[int, int]] = []
+    colors: dict[int, str] = {}
+    while True:
+        mergeable = equivalence_classes(tmap).nontrivial()
+        if not mergeable:
+            raise NotAMetricError("no pair of taxa merges, so the map encodes no tree")
+        members, symbol = min(mergeable)
+        hub = n + len(colors)
+        colors[hub] = symbol
+        if len(members) >= len(tmap.taxa) - 1:
+            edges.extend((vertex_of[t], hub) for t in tmap.taxa.names)
+            break
+        contraction = contract_class(tmap, members, symbol, f"@{len(colors)}")
+        if on_step is not None:
+            on_step(contraction)
+        edges.extend((vertex_of[t], hub) for t in members)
+        vertex_of[contraction.new_taxon] = hub
+        tmap = contraction.reduced
 
-    index, parent = next(
-        (i, u if v == placeholder else v)
-        for i, (u, v) in enumerate(edges)
-        if placeholder in (u, v)
-    )
-    if colors[parent] == symbol:
-        # The class vertex survived the reduction as the composite's parent.
-        del edges[index]
-        hub = parent
-    else:
-        # The class vertex was suppressed; the composite leaf becomes it.
-        colors[placeholder] = symbol
-        hub = placeholder
-    edges.extend((leaf_of[x], hub) for x in members)
-    return edges, colors
+    # A class vertex with a parent of its own color is that parent: it kept
+    # neighbors besides the class, survived the reduction and met the
+    # composite again.  Merge the two, parents first.
+    merged_into: dict[int, int] = {}
+    kept = []
+    for child, parent in reversed(edges):
+        parent = merged_into.get(parent, parent)
+        if colors.get(child) == colors[parent]:
+            merged_into[child] = parent
+            del colors[child]
+        else:
+            kept.append((child, parent))
+    return ColoredTree(kept, dict(enumerate(names)), colors)
 
 
 def _first_mismatch(
@@ -343,10 +334,7 @@ def reconstruct_tree(
     """
     tree = certified_tree(tmap) if on_step is None else None
     if tree is None:
-        names = tmap.taxa.names
-        leaf_of = {name: i for i, name in enumerate(names)}
-        edges, colors = _grow(tmap, leaf_of, count(len(names)), on_step, 0)
-        tree = ColoredTree(edges, dict(enumerate(names)), colors)
+        tree = _grow(tmap, on_step)
         mismatch = _first_mismatch(tmap, tree.median_colors())
         if mismatch is not None:
             tri, got, want = mismatch

@@ -359,10 +359,11 @@ class _Cursor:
             self.fail("branch lengths are not supported")
 
 
-def _parse_subtree(cur: _Cursor) -> tuple:
+def _parse_subtree(cur: _Cursor, leaves: list[tuple[str, int]]) -> tuple:
     """One subtree as nested ("int", label, children, label_pos) and
-    ("leaf", name, name_pos) tuples.  Open parentheses are kept on a stack,
-    so nesting depth is bounded by memory, not by the recursion limit."""
+    ("leaf", name) tuples; (name, position) of each leaf is appended to
+    leaves, left to right.  Open parentheses are kept on a stack, so nesting
+    depth is bounded by memory, not by the recursion limit."""
     open_children: list[list[tuple]] = []
     while True:
         cur.skip_ws()
@@ -379,8 +380,9 @@ def _parse_subtree(cur: _Cursor) -> tuple:
             cur.fail(f"unexpected character {ch!r}")
         name_pos = cur.pos
         name = cur.scan_name()
+        leaves.append((name, name_pos))
         cur.reject_branch_length()
-        node: tuple = ("leaf", name, name_pos)
+        node: tuple = ("leaf", name)
         # Close every group this subtree ends, up to the next sibling.
         while open_children:
             open_children[-1].append(node)
@@ -400,19 +402,6 @@ def _parse_subtree(cur: _Cursor) -> tuple:
             return node
 
 
-def _collect_leaves(spec: tuple) -> list[tuple[str, int]]:
-    """(name, position) of every leaf, left to right."""
-    out = []
-    stack = [spec]
-    while stack:
-        node = stack.pop()
-        if node[0] == "leaf":
-            out.append((node[1], node[2]))
-        else:
-            stack.extend(reversed(node[2]))
-    return out
-
-
 def parse_newick(text: str) -> ColoredTree:
     """Parse one tree in the restricted Newick dialect.
 
@@ -421,7 +410,8 @@ def parse_newick(text: str) -> ColoredTree:
     children joined by an edge, undoing a rooting of the unrooted tree.
     """
     cur = _Cursor(text)
-    root = _parse_subtree(cur)
+    leaf_specs: list[tuple[str, int]] = []
+    root = _parse_subtree(cur, leaf_specs)
     cur.skip_ws()
     if cur.peek() != ";":
         cur.fail("expected ';'")
@@ -430,7 +420,6 @@ def parse_newick(text: str) -> ColoredTree:
     if cur.pos != len(cur.text):
         cur.fail("trailing content after ';'")
 
-    leaf_specs = _collect_leaves(root)
     for name, pos in leaf_specs:
         if name.startswith("@"):
             raise NewickParseError(

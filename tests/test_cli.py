@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tritree import check_condition3, parse_newick, trees_isomorphic, write_newick
 from tritree.cli import main
 from tritree.quartets import _scan_quartets
+from tritree.reconstruct import certified_tree
 
 import helpers
 
@@ -22,6 +23,15 @@ STAR4_TABLE = (
     "t1 t2 t4 a\n"
     "t1 t3 t4 a\n"
     "t2 t3 t4 a\n"
+)
+
+# Not an encoding, yet the bottom-up route contracts t1 t2 t5 and closes a
+# tree on what is left: only certifying that candidate rejects the map.
+MISMATCH_TABLE = (
+    "taxa: t1 t2 t3 t4 t5\n"
+    "symbols: a b c\n"
+    "t1 t2 t3 b\nt1 t2 t4 b\nt1 t2 t5 c\nt1 t3 t4 c\nt1 t3 t5 b\n"
+    "t1 t4 t5 a\nt2 t3 t4 c\nt2 t3 t5 a\nt2 t4 t5 a\nt3 t4 t5 c\n"
 )
 
 
@@ -209,6 +219,18 @@ class TestReconstruct:
         assert main(["reconstruct", two_cycle_table]) == 1
         assert "no pair of taxa merges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_candidate_mismatch_exits_1(self, tmp_path, capsys, trace):
+        table = tmp_path / "mismatch.table"
+        table.write_text(MISMATCH_TABLE, encoding="utf-8")
+        assert main(["reconstruct", str(table)] + ["--trace"] * trace) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("CONTRACT t1 t2 t5 -> @1 COLOR c\n" if trace else "") + (
+            "error: no tree encodes this map: the candidate tree gives c on t1 t2 t3 "
+            "where the map gives b\n"
+        )
+
     def test_constant_table_gives_the_star(self, tmp_path, capsys):
         table = tmp_path / "constant.table"
         table.write_text(STAR4_TABLE, encoding="utf-8")
@@ -232,6 +254,19 @@ class TestQuartets:
         table.write_text(STAR4_TABLE, encoding="utf-8")
         assert main(["quartets", str(table)]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_uncertified_map_is_certified_once(self, two_cycle_table, capsys, monkeypatch):
+        calls = []
+
+        def counted(tmap):
+            calls.append(tmap)
+            return certified_tree(tmap)
+
+        monkeypatch.setattr("tritree.cli.certified_tree", counted)
+        monkeypatch.setattr("tritree.reconstruct.certified_tree", counted)
+        assert main(["quartets", two_cycle_table]) == 0
+        assert capsys.readouterr().out.count("|") == 5
+        assert len(calls) == 1
 
     def test_unbalanced_table_exits_1(self, tmp_path, capsys):
         table = tmp_path / "bad.table"
