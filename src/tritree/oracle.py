@@ -39,11 +39,7 @@ class Topology:
     leaf_taxa: tuple[tuple[int, str], ...]
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {}
-        for u, v in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        return {v: tuple(sorted(nbrs)) for v, nbrs in _shape_adjacency(self.edges).items()}
 
     def interior_vertices(self) -> tuple[int, ...]:
         leaf_ids = {v for v, _ in self.leaf_taxa}

@@ -14,6 +14,7 @@ artifact of rooting an edge and is suppressed on input.
 
 from __future__ import annotations
 
+import re
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -325,81 +326,8 @@ def trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
 # -- Newick dialect ----------------------------------------------------------
 
 _NAME_STOP = frozenset("(),;:#")
-
-
-class _Cursor:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def fail(self, message: str) -> None:
-        raise NewickParseError(message, self.pos)
-
-    def scan_name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isspace() or ch in _NAME_STOP:
-                break
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def reject_branch_length(self) -> None:
-        self.skip_ws()
-        if self.peek() == ":":
-            self.fail("branch lengths are not supported")
-
-
-def _parse_subtree(cur: _Cursor, leaves: list[tuple[str, int]]) -> tuple:
-    """One subtree as nested ("int", label, children, label_pos) and
-    ("leaf", name) tuples; (name, position) of each leaf is appended to
-    leaves, left to right.  Open parentheses are kept on a stack, so nesting
-    depth is bounded by memory, not by the recursion limit."""
-    open_children: list[list[tuple]] = []
-    while True:
-        cur.skip_ws()
-        ch = cur.peek()
-        if ch == "(":
-            cur.pos += 1
-            open_children.append([])
-            continue
-        if ch == "":
-            cur.fail("unexpected end of input")
-        if ch == ":":
-            cur.fail("branch lengths are not supported")
-        if ch in _NAME_STOP:
-            cur.fail(f"unexpected character {ch!r}")
-        name_pos = cur.pos
-        name = cur.scan_name()
-        leaves.append((name, name_pos))
-        cur.reject_branch_length()
-        node: tuple = ("leaf", name)
-        # Close every group this subtree ends, up to the next sibling.
-        while open_children:
-            open_children[-1].append(node)
-            cur.skip_ws()
-            if cur.peek() == ",":
-                cur.pos += 1
-                break
-            if cur.peek() != ")":
-                cur.fail("expected ',' or ')'")
-            cur.pos += 1
-            cur.skip_ws()
-            label_pos = cur.pos
-            label = cur.scan_name()
-            cur.reject_branch_length()
-            node = ("int", label or None, open_children.pop(), label_pos)
-        else:
-            return node
+# A name, any other character, or the end; group 1 starts past the whitespace.
+_TOKEN = re.compile(r"\s*([^\s(),;:#]+|.|\Z)", re.S)
 
 
 def parse_newick(text: str) -> ColoredTree:
@@ -409,69 +337,76 @@ def parse_newick(text: str) -> ColoredTree:
     exactly two children may stay unlabeled: it is then removed and its two
     children joined by an edge, undoing a rooting of the unrooted tree.
     """
-    cur = _Cursor(text)
-    leaf_specs: list[tuple[str, int]] = []
-    root = _parse_subtree(cur, leaf_specs)
-    cur.skip_ws()
-    if cur.peek() != ";":
-        cur.fail("expected ';'")
-    cur.pos += 1
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        cur.fail("trailing content after ';'")
+    tokens = ((m[1], m.start(1)) for m in _TOKEN.finditer(text))
+    leaves: list[tuple[str, int, int | None]] = []  # name, position, parent
+    inner: list[list] = []  # parent, label, label position; in '(' order
+    open_groups: list[int] = []
+    for tok, pos in tokens:
+        parent = open_groups[-1] if open_groups else None
+        if tok == "(":
+            open_groups.append(len(inner))
+            inner.append([parent, "", pos])
+            continue
+        if tok == "":
+            raise NewickParseError("unexpected end of input", pos)
+        if tok == ":":
+            raise NewickParseError("branch lengths are not supported", pos)
+        if tok in _NAME_STOP:
+            raise NewickParseError(f"unexpected character {tok!r}", pos)
+        leaves.append((tok, pos, parent))
+        tok, pos = next(tokens)
+        # Close every group this subtree ends, up to the next sibling.
+        while True:
+            if tok == ":":
+                raise NewickParseError("branch lengths are not supported", pos)
+            if not open_groups or tok != ")":
+                break
+            vertex = inner[open_groups.pop()]
+            tok, pos = next(tokens)
+            vertex[2] = pos
+            if tok and tok not in _NAME_STOP:
+                vertex[1] = tok
+                tok, pos = next(tokens)
+        if not open_groups:
+            break
+        if tok != ",":
+            raise NewickParseError("expected ',' or ')'", pos)
+    if tok != ";":
+        raise NewickParseError("expected ';'", pos)
+    tok, pos = next(tokens)
+    if tok:
+        raise NewickParseError("trailing content after ';'", pos)
 
-    for name, pos in leaf_specs:
+    for name, pos, _ in leaves:
         if name.startswith("@"):
             raise NewickParseError(
                 f"taxon name {name!r} is reserved ('@' prefixes composite taxa)", pos
             )
-    names = [name for name, _ in leaf_specs]
+    names = [name for name, _, _ in leaves]
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise TreeValidationError(f"duplicate taxon names: {' '.join(dupes)}")
 
+    # Leaves take their sorted-name index; interior vertices follow in '('
+    # order, which is pre-order, less an unlabeled root that is dropped.
     leaf_id = {name: i for i, name in enumerate(sorted(names))}
-    edges: list[tuple[int, int]] = []
-    leaf_taxa: dict[int, str] = {}
-    colors: dict[int, str] = {}
-    counter = len(names)
-
-    def build(spec: tuple) -> int:
-        """Number the subtree's vertices in pre-order and add its edges; the
-        subtree's own vertex id is returned."""
-        nonlocal counter
-        top = -1
-        stack: list[tuple[tuple, int | None]] = [(spec, None)]
-        while stack:
-            node, parent = stack.pop()
-            if node[0] == "leaf":
-                vid = leaf_id[node[1]]
-                leaf_taxa[vid] = node[1]
-            else:
-                _, label, children, label_pos = node
-                if label is None:
-                    raise NewickParseError("interior vertex needs a color label", label_pos)
-                vid = counter
-                counter += 1
-                colors[vid] = label
-                stack.extend((child, vid) for child in reversed(children))
-            if parent is None:
-                top = vid
-            else:
-                edges.append((parent, vid))
-        return top
-
-    if root[0] == "int" and root[1] is None:
-        if len(root[2]) != 2:
-            raise NewickParseError(
-                "the root needs a color label unless it has exactly two children", root[3]
-            )
-        left = build(root[2][0])
-        right = build(root[2][1])
-        edges.append((left, right))
-    else:
-        build(root)
-    return ColoredTree(edges, leaf_taxa, colors)
+    drop = bool(inner) and not inner[0][1]
+    ids = [len(names) + k - drop for k in range(len(inner))]
+    links = [(p, ids[k]) for k, (p, _, _) in enumerate(inner)]
+    links += [(p, leaf_id[name]) for name, _, p in leaves]
+    ends = [v for p, v in links if p == 0]
+    if drop and len(ends) != 2:
+        raise NewickParseError(
+            "the root needs a color label unless it has exactly two children", inner[0][2]
+        )
+    for _, label, pos in inner[drop:]:
+        if not label:
+            raise NewickParseError("interior vertex needs a color label", pos)
+    edges = [(ids[p], v) for p, v in links if p is not None and not (drop and p == 0)]
+    if drop:
+        edges.append((ends[0], ends[1]))
+    colors = {ids[k]: inner[k][1] for k in range(drop, len(inner))}
+    return ColoredTree(edges, {leaf_id[name]: name for name in names}, colors)
 
 
 def _rendered(tree: ColoredTree) -> tuple[int, dict[int, str]]:

@@ -6,8 +6,12 @@ count exceeds the cap are thinned by a fixed stride, so the selection is
 deterministic.  At these sizes the cap never actually binds.
 """
 
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 from tritree import (
     ColoredTree,
@@ -24,6 +28,20 @@ from tritree.oracle import two_cycle_map  # noqa: F401  (re-exported for the fix
 
 PALETTE = ("a", "b", "c")
 CAP_PER_TOPOLOGY = 500
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run this interpreter with src/ on PYTHONPATH, so a checkout needs no
+    installed package, and capture its text output."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 @lru_cache(maxsize=None)

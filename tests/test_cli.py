@@ -1,7 +1,6 @@
 """Command line behavior: data on stdout, diagnostics on stderr, stable exits."""
 
 import io
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -399,10 +398,6 @@ class TestSelftestAndPlumbing:
 
     def test_module_entry_point(self, tmp_path):
         path = write_tree(tmp_path, "(x,y,z)m;")
-        done = subprocess.run(
-            [sys.executable, "-m", "tritree", "encode", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        done = helpers.run_python("-m", "tritree", "encode", str(path))
         assert done.returncode == 0
         assert done.stdout == "taxa: x y z\nsymbols: m\nx y z m\n"

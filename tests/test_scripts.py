@@ -1,23 +1,11 @@
 """The demonstration scripts run with their default arguments and report the
 figures the README describes."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
+import helpers
 
 
 def run_script(name):
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
+    return helpers.run_python(str(helpers.ROOT / "scripts" / name))
 
 
 def test_census_small_maps():

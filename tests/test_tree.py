@@ -212,6 +212,29 @@ class TestIsomorphism:
         assert not trees_isomorphic(cherry_tree, star5)
 
 
+PARSE_ERRORS = [
+    ("(x,y,z)a", "expected ';'", 8),
+    ("(x,y,z)a; junk", "trailing content", 10),
+    ("(x,y,z;", "expected ',' or '\\)'", 6),
+    ("(x,y,z)a:1;", "branch lengths", 8),
+    ("(x:0.5,y,z)a;", "branch lengths", 2),
+    ("((x,y),z,w)a;", "needs a color label", 6),
+    ("(x,y,z);", "root needs a color label", 7),
+    ("(x,,z)a;", "unexpected character ','", 3),
+    ("()a;", "unexpected character '\\)'", 1),
+    ("", "unexpected end of input", 0),
+    ("(x,y,@p)a;", "reserved", 5),
+    # Where more than one rule applies, the first in reading order wins.
+    ("((@p,y),z,w);", "reserved", 2),
+    ("((x,y),(z,w),v);", "root needs a color label", 15),
+    ("((x,y)a,(z,w))b;", "interior vertex needs a color label", 13),
+    ("((x,y) , z,w) a ;", "interior vertex needs a color label", 7),
+    ("(x,y,z) :1;", "branch lengths", 8),
+    ("(x,y,z)a#;", "expected ';'", 8),
+    ("(x y,z)a;", "expected ',' or '\\)'", 3),
+]
+
+
 class TestNewick:
     def test_parse_star(self, star5):
         assert trees_isomorphic(parse_newick("(t1,t2,t3,t4,t5)a;"), star5)
@@ -223,6 +246,20 @@ class TestNewick:
     def test_unlabeled_two_child_root_is_suppressed(self, caterpillar):
         rooted = parse_newick("((t1,t2)a,(t3,(t4,t5)c)b);")
         assert trees_isomorphic(rooted, caterpillar)
+
+    @pytest.mark.parametrize(
+        "text, colors",
+        [
+            ("((t1,t2)a,(t3,t4)b,t5)c;", {5: "c", 6: "a", 7: "b"}),
+            ("((x,y)a,(z,w)b) ;", {4: "a", 5: "b"}),
+        ],
+    )
+    def test_vertex_ids(self, text, colors):
+        # Leaves take the index of their name in sorted order; interior
+        # vertices follow in the order their '(' opens.
+        tree = parse_newick(text)
+        assert tree.colors == colors
+        assert tree.leaf_taxa == dict(enumerate(sorted(tree.leaf_taxa.values())))
 
     def test_write_is_deterministic(self, caterpillar, star5):
         assert write_newick(caterpillar) == "(((t4,t5)c,t3)b,t1,t2)a;"
@@ -251,25 +288,16 @@ class TestNewick:
         assert trees_isomorphic(tree, back)
 
     @pytest.mark.parametrize(
-        "text, complaint",
-        [
-            ("(x,y,z)a", "expected ';'"),
-            ("(x,y,z)a; junk", "trailing content"),
-            ("(x,y,z;", "expected ',' or '\\)'"),
-            ("(x,y,z)a:1;", "branch lengths"),
-            ("(x:0.5,y,z)a;", "branch lengths"),
-            ("((x,y),z,w)a;", "needs a color label"),
-            ("(x,y,z);", "root needs a color label"),
-            ("(x,,z)a;", "unexpected character ','"),
-            ("()a;", "unexpected character '\\)'"),
-            ("", "unexpected end of input"),
-            ("(x,y,@p)a;", "reserved"),
-        ],
+        "text, complaint, position",
+        PARSE_ERRORS,
+        # Named by text and complaint alone, so a moved position fails a case
+        # rather than renaming it.
+        ids=[f"{text}-{complaint}" for text, complaint, _ in PARSE_ERRORS],
     )
-    def test_parse_errors(self, text, complaint):
+    def test_parse_errors(self, text, complaint, position):
         with pytest.raises(NewickParseError, match=complaint) as err:
             parse_newick(text)
-        assert isinstance(err.value.position, int)
+        assert err.value.position == position
 
     def test_branch_length_error_position(self):
         with pytest.raises(NewickParseError) as err:
@@ -284,6 +312,7 @@ class TestNewick:
             ("(x,y)a;", "at least three leaves"),
             ("(x,(y,z)c)a;", "degree 2"),
             ("(x,x,y)a;", "duplicate taxon names: x"),
+            ("((x,x),z,w);", "duplicate taxon names: x"),
         ],
     )
     def test_structural_errors(self, text, complaint):
