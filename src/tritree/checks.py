@@ -22,6 +22,7 @@ resolver check's failures.  The scans explain rejections and are the reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -72,12 +73,8 @@ def partition_profile(tmap: TernaryMap, subset: Iterable[str]) -> PartitionProfi
     members = tuple(sorted(set(subset)))
     if len(members) < 3:
         raise ValueError(f"a partition profile needs at least three taxa, got {len(members)}")
-    for t in members:
-        tmap.taxa.require(t)
-    tally: dict[str, int] = {}
-    for tri in combinations(members, 3):
-        sym = tmap.triple_value(tri)
-        tally[sym] = tally.get(sym, 0) + 1
+    tmap.taxa.require(*members)
+    tally = Counter(map(tmap.triple_value, combinations(members, 3)))
     return PartitionProfile(members, tuple(sorted(tally.items())))
 
 
@@ -245,8 +242,7 @@ def classify_k5(tmap: TernaryMap, five: Iterable[str]) -> K5Type:
     members = tuple(sorted(set(five)))
     if len(members) != 5:
         raise ValueError(f"expected five distinct taxa, got {len(members)}")
-    for t in members:
-        tmap.taxa.require(t)
+    tmap.taxa.require(*members)
     degrees: dict[str, dict[str, int]] = {}
     for u, v in combinations(members, 2):
         tri = tuple(t for t in members if t != u and t != v)

@@ -1,18 +1,22 @@
 """Taxa, symbol alphabets, and total symmetric ternary maps.
 
-A ternary map assigns one symbol to every 3-subset of a taxon set.  Values are
-stored under the sorted 3-subset, so symmetry in the three arguments holds by
-construction.  Looking a value up with a repeated argument never touches the
-store: it returns the ``NON_EVENT`` sentinel, which is deliberately not a
-string and therefore can never collide with an alphabet symbol.
+A ternary map assigns one symbol to every 3-subset of a taxon set.  It keeps
+one small integer code per 3-subset in one array, in ``combinations`` order of
+the sorted taxa, so symmetry in the three arguments holds by construction and
+names appear only in entries, lookups, the table text and diagnostics.
+Looking a value up with a repeated argument never touches the store: it
+returns the ``NON_EVENT`` sentinel, which is deliberately not a string and
+therefore can never collide with an alphabet symbol.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "NON_EVENT",
@@ -63,24 +67,35 @@ def check_identifier(name: str, kind: str) -> None:
         )
 
 
+def _require_distinct(names: Sequence[str], error: type[ValueError] = ValueError) -> None:
+    """Raise error naming, once each and sorted, every name listed twice or more."""
+    if len(set(names)) != len(names):
+        dupes = sorted(name for name, count in Counter(names).items() if count > 1)
+        raise error(f"duplicate taxon names: {' '.join(dupes)}")
+
+
 @dataclass(frozen=True)
 class TaxonSet:
-    """At least three distinct taxon names, kept in lexicographic order."""
+    """At least three distinct taxon names, kept in lexicographic order; the
+    3-subset at positions i < j < k is number F[i] + G[j] + k of triples(),
+    with (F, G) = _ranks by the combinatorial number system (TAOCP 7.2.1.3)."""
 
     names: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _ranks: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.names))
-        if len(set(ordered)) != len(ordered):
-            dupes = sorted({n for n in ordered if list(ordered).count(n) > 1})
-            raise ValueError(f"duplicate taxon names: {' '.join(dupes)}")
+        _require_distinct(ordered)
         if len(ordered) < 3:
             raise ValueError(f"a taxon set needs at least three taxa, got {len(ordered)}")
         for name in ordered:
             check_identifier(name, "taxon name")
         object.__setattr__(self, "names", ordered)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(ordered)})
+        n, total = len(ordered), comb(len(ordered), 3)
+        first = [total - comb(n - i, 3) + comb(n - i - 1, 2) for i in range(n)]
+        object.__setattr__(self, "_ranks", (first, [-comb(n - j, 2) - j - 1 for j in range(n)]))
 
     def __contains__(self, name: object) -> bool:
         return name in self._index
@@ -91,14 +106,29 @@ class TaxonSet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
 
-    def require(self, name: str) -> None:
-        if name not in self._index:
-            raise UnknownTaxonError(f"unknown taxon {name!r}")
+    def require(self, *names: str) -> None:
+        """Raise UnknownTaxonError for the first name that is not a taxon here."""
+        for name in names:
+            if name not in self._index:
+                raise UnknownTaxonError(f"unknown taxon {name!r}")
 
     def index(self, name: str) -> int:
         """Position of a taxon in the sorted names."""
         self.require(name)
         return self._index[name]
+
+    def _rank(self, a: str, b: str, c: str) -> int:
+        """The number of the 3-subset of three distinct known taxa in triples()."""
+        index = self._index
+        i, j, k = index[a], index[b], index[c]
+        if i > j:
+            i, j = j, i
+        if j > k:
+            j, k = k, j
+            if i > j:
+                i, j = j, i
+        first, second = self._ranks
+        return first[i] + second[j] + k
 
     def triples(self) -> Iterator[tuple[str, str, str]]:
         """All 3-subsets in canonical (sorted) order."""
@@ -131,14 +161,61 @@ class SymbolAlphabet:
         return tuple(sorted(self.symbols))
 
 
-def _canonical_triple(triple: Iterable[str]) -> tuple[str, str, str]:
-    a, b, c = sorted(triple)
-    return (a, b, c)
+def _checked_values(taxa: TaxonSet, alphabet: SymbolAlphabet, rows: Iterable, count: int) -> list:
+    """The value of each 3-subset in combinations order, from count rows (a, b, c, symbol).
+
+    Complaints come in this order: a wrong arity, a repeated or unknown taxon,
+    or a second value for a 3-subset, at the first row with one; then the
+    first value, in the order 3-subsets first appear, that is no alphabet
+    symbol; then the missing 3-subsets.  Rows too few to fill every 3-subset
+    go in a dict, so a table that is mostly header costs what it holds.
+    """
+    total = comb(len(taxa), 3)
+    unset = object()
+    store = [unset] * total if count >= total else defaultdict(lambda: unset)
+    symbols = alphabet.symbols
+    bad = None  # the first row to give a 3-subset a value that is no symbol
+    filled = 0
+    for row in rows:
+        if len(row) != 4:
+            raise MapBuildError(f"entry {tuple(row[:-1])!r} does not name exactly three taxa")
+        a, b, c, symbol = row
+        if a == b or a == c or b == c:
+            raise MapBuildError(f"3-subset with a repeated taxon: {a} {b} {c}")
+        try:
+            r = taxa._rank(a, b, c)
+        except KeyError:
+            taxa.require(a, b, c)
+        first = store[r]
+        if first is unset:
+            store[r] = symbol
+            filled += 1
+            if bad is None and not (isinstance(symbol, str) and symbol in symbols):
+                bad = row
+        elif first != symbol:
+            raise MapBuildError(
+                f"conflicting values for {' '.join(sorted(row[:3]))}: {first!r} and {symbol!r}"
+            )
+    if bad is not None:
+        *subset, symbol = bad
+        if not isinstance(symbol, str):
+            raise MapBuildError(
+                f"value for {'/'.join(sorted(subset))} must be an alphabet symbol, got {symbol!r}"
+            )
+        raise MapBuildError(f"symbol {symbol!r} is not in the declared alphabet")
+    if filled != total:
+        missing = (tri for r, tri in enumerate(taxa.triples()) if store[r] is unset)
+        shown = ", ".join(" ".join(tri) for tri in islice(missing, 5))
+        more = "" if total - filled <= 5 else f" (and {total - filled - 5} more)"
+        raise MapBuildError(f"missing 3-subsets: {shown}{more}")
+    return store
 
 
 class TernaryMap:
     """A total symmetric assignment of one symbol to every 3-subset of taxa.
 
+    The values are one array of small integer codes in combinations order,
+    each the index of its symbol among the sorted symbols the map uses.
     Two maps are equal when they have the same taxa and agree on every
     3-subset; the declared alphabet is carried along but does not take part
     in equality, so a map declared over a larger alphabet still equals the
@@ -148,7 +225,7 @@ class TernaryMap:
     each 3-subset in any order; build_ternary lists what is checked.
     """
 
-    __slots__ = ("taxa", "alphabet", "_values", "_hash")
+    __slots__ = ("taxa", "alphabet", "_symbols", "_codes", "_hash")
 
     def __init__(
         self,
@@ -157,71 +234,47 @@ class TernaryMap:
         values: Mapping[tuple[str, ...], str] | Iterable[tuple[Iterable[str], str]],
     ) -> None:
         pairs = values.items() if isinstance(values, Mapping) else values
-        known = taxa._index
-        canon: dict[tuple[str, ...], str] = {}
-        for triple, symbol in pairs:
-            subset = tuple(triple)
-            if len(subset) != 3:
-                raise MapBuildError(f"entry {subset!r} does not name exactly three taxa")
-            a, b, c = subset
-            if a == b or a == c or b == c:
-                raise MapBuildError(
-                    f"3-subset with a repeated taxon: {' '.join(map(str, subset))}"
-                )
-            if a not in known or b not in known or c not in known:
-                for t in subset:
-                    taxa.require(t)
-            key = (a, b, c) if a < b < c else tuple(sorted(subset))
-            first = canon.setdefault(key, symbol)
-            if first != symbol:
-                raise MapBuildError(
-                    f"conflicting values for {' '.join(key)}: {first!r} and {symbol!r}"
-                )
-        try:
-            in_alphabet = set(canon.values()) <= alphabet.symbols
-        except TypeError:  # an unhashable value is no symbol
-            in_alphabet = False
-        if not in_alphabet:  # find the first bad value, in entry order
-            for key, symbol in canon.items():
-                if symbol is NON_EVENT or not isinstance(symbol, str):
-                    raise MapBuildError(
-                        f"value for {'/'.join(key)} must be an alphabet symbol, got {symbol!r}"
-                    )
-                if symbol not in alphabet:
-                    raise MapBuildError(f"symbol {symbol!r} is not in the declared alphabet")
-        if len(canon) != comb(len(taxa), 3):
-            missing = [tri for tri in taxa.triples() if tri not in canon]
-            shown = ", ".join(" ".join(tri) for tri in missing[:5])
-            more = "" if len(missing) <= 5 else f" (and {len(missing) - 5} more)"
-            raise MapBuildError(f"missing 3-subsets: {shown}{more}")
-        self.taxa = taxa
-        self.alphabet = alphabet
-        self._values = canon
+        rows = [(*triple, symbol) for triple, symbol in pairs]
+        self._set(taxa, alphabet, _checked_values(taxa, alphabet, rows, len(rows)))
+
+    @classmethod
+    def _of(cls, taxa: TaxonSet, alphabet: SymbolAlphabet, values: Iterable[str]) -> "TernaryMap":
+        """The map with these values, trusted and given in combinations order."""
+        tmap = object.__new__(cls)
+        tmap._set(taxa, alphabet, values)
+        return tmap
+
+    def _set(self, taxa: TaxonSet, alphabet: SymbolAlphabet, values: Iterable[str]) -> None:
+        values = list(values)
+        symbols = sorted(set(values))
+        code_of = {symbol: c for c, symbol in enumerate(symbols)}
+        typecode = "B" if len(symbols) <= 1 << 8 else "H" if len(symbols) <= 1 << 16 else "I"
+        self.taxa, self.alphabet, self._symbols = taxa, alphabet, tuple(symbols)
+        self._codes = array(typecode, map(code_of.__getitem__, values))
         self._hash: int | None = None
 
     # -- lookups ---------------------------------------------------------
 
     def get(self, x: str, y: str, z: str) -> str | _NonEvent:
         """Value on (x, y, z); NON_EVENT when any two arguments coincide."""
-        for t in (x, y, z):
-            self.taxa.require(t)
+        self.taxa.require(x, y, z)
         if x == y or y == z or x == z:
             return NON_EVENT
-        return self._values[_canonical_triple((x, y, z))]
+        return self.triple_value((x, y, z))
 
     def triple_value(self, triple: Iterable[str]) -> str:
         """Fast path for three distinct known taxa; no argument checking."""
-        return self._values[_canonical_triple(triple)]
+        return self._symbols[self._codes[self.taxa._rank(*triple)]]
 
     def triples(self) -> Iterator[tuple[str, str, str]]:
         return self.taxa.triples()
 
     def entries(self) -> tuple[tuple[tuple[str, str, str], str], ...]:
         """All (3-subset, symbol) pairs in canonical order."""
-        return tuple((tri, self._values[tri]) for tri in self.taxa.triples())
+        return tuple(zip(self.taxa.triples(), map(self._symbols.__getitem__, self._codes)))
 
     def used_symbols(self) -> frozenset[str]:
-        return frozenset(self._values.values())
+        return frozenset(self._symbols)
 
     # -- derived maps ----------------------------------------------------
 
@@ -230,28 +283,26 @@ class TernaryMap:
         kept = sorted(set(keep))
         if len(kept) < 3:
             raise ValueError(f"a restriction needs at least three taxa, got {len(kept)}")
-        for t in kept:
-            self.taxa.require(t)
-        sub = TaxonSet(tuple(kept))
-        values = {tri: self._values[tri] for tri in sub.triples()}
-        return TernaryMap(sub, self.alphabet, values)
+        self.taxa.require(*kept)
+        values = map(self.triple_value, combinations(kept, 3))
+        return TernaryMap._of(TaxonSet(tuple(kept)), self.alphabet, values)
 
     # -- equality --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TernaryMap):
             return NotImplemented
-        return self.taxa.names == other.taxa.names and self._values == other._values
+        return (self.taxa.names, self._symbols, self._codes) == (
+            other.taxa.names, other._symbols, other._codes
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.taxa.names, tuple(sorted(self._values.items()))))
+            self._hash = hash((self.taxa.names, self._symbols, self._codes.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
-        return (
-            f"TernaryMap(n={len(self.taxa)}, symbols={','.join(sorted(self.used_symbols()))})"
-        )
+        return f"TernaryMap(n={len(self.taxa)}, symbols={','.join(self._symbols)})"
 
     # -- triple-table text format ----------------------------------------
     #
@@ -264,57 +315,54 @@ class TernaryMap:
     # composite taxa that reconstruction introduces.
 
     def to_table_text(self) -> str:
-        lines = [
-            "taxa: " + " ".join(self.taxa.names),
-            "symbols: " + " ".join(self.alphabet.sorted()),
-        ]
-        for tri in self.taxa.triples():
-            lines.append(" ".join(tri) + " " + self._values[tri])
-        return "\n".join(lines) + "\n"
+        names, n = self.taxa.names, len(self.taxa)
+        lines = [f"taxa: {' '.join(names)}\nsymbols: {' '.join(self.alphabet.sorted())}\n"]
+        words = [name + " " for name in names]
+        ends, codes = [symbol + "\n" for symbol in self._symbols], iter(self._codes)
+        for i, j in combinations(range(n), 2):
+            head = words[i] + words[j]
+            lines += [head + words[k] + ends[c] for k, c in zip(range(j + 1, n), codes)]
+        return "".join(lines)
 
     @classmethod
     def from_table_text(cls, text: str) -> "TernaryMap":
-        taxa_names: list[str] | None = None
-        symbol_names: list[str] | None = None
-        rows: list[tuple[tuple[str, str, str], str]] = []
+        headers: dict[str, list[str]] = {}
+        # The four tokens of every triple line, in one flat list: a list per
+        # line would leave the garbage collector a container per triple to walk.
+        flat: list[str] = []
         for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            tokens = line.split()
-            if tokens[0] == "taxa:":
-                if taxa_names is not None:
-                    raise TableFormatError(f"line {lineno}: repeated 'taxa:' header")
-                taxa_names = tokens[1:]
-                continue
-            if tokens[0] == "symbols:":
-                if symbol_names is not None:
-                    raise TableFormatError(f"line {lineno}: repeated 'symbols:' header")
-                symbol_names = tokens[1:]
-                continue
-            if taxa_names is None or symbol_names is None:
+            if tokens[0] in ("taxa:", "symbols:"):
+                if tokens[0] in headers:
+                    raise TableFormatError(f"line {lineno}: repeated '{tokens[0]}' header")
+                headers[tokens[0]] = tokens[1:]
+            elif len(headers) < 2:
                 raise TableFormatError(
                     f"line {lineno}: 'taxa:' and 'symbols:' headers must precede triple lines"
                 )
-            if len(tokens) != 4:
+            elif len(tokens) != 4:
                 raise TableFormatError(
                     f"line {lineno}: expected three taxa and one symbol, got {len(tokens)} tokens"
                 )
-            rows.append(((tokens[0], tokens[1], tokens[2]), tokens[3]))
-        if taxa_names is None:
-            raise TableFormatError("missing 'taxa:' header")
-        if symbol_names is None:
-            raise TableFormatError("missing 'symbols:' header")
-        for name in taxa_names:
+            else:
+                flat += tokens
+        for header in ("taxa:", "symbols:"):
+            if header not in headers:
+                raise TableFormatError(f"missing '{header}' header")
+        for name in headers["taxa:"]:
             if name.startswith("@"):
                 raise TableFormatError(
                     f"taxon name {name!r} is reserved ('@' prefixes composite taxa)"
                 )
         try:
-            return build_ternary(TaxonSet(tuple(taxa_names)),
-                                 SymbolAlphabet(frozenset(symbol_names)), rows)
-        except (MapBuildError, UnknownTaxonError, ValueError) as exc:
+            taxa = TaxonSet(tuple(headers["taxa:"]))
+            alphabet = SymbolAlphabet(frozenset(headers["symbols:"]))
+            values = _checked_values(taxa, alphabet, zip(*[iter(flat)] * 4), len(flat) // 4)
+        except ValueError as exc:
             raise TableFormatError(str(exc)) from exc
+        return cls._of(taxa, alphabet, values)
 
 
 def build_ternary(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Mapping
 
 from .checks import check_star
@@ -186,8 +186,7 @@ def brute_force_reconstruct(tmap: TernaryMap) -> ColoredTree | None:
 def _quad_balanced(values: Mapping[tuple[str, ...], str], keys: tuple) -> bool:
     """With two symbols: the four values are constant or split 2-2."""
     a, b, c, d = (values[k] for k in keys)
-    total = (a == b) + (a == c) + (a == d)
-    return total == 3 or total == 1
+    return (a == b) + (a == c) + (a == d) in (1, 3)
 
 
 def find_nonthin_witness(
@@ -209,35 +208,25 @@ def find_nonthin_witness(
         raise ValueError("the search needs exactly two symbols")
     taxon_set = TaxonSet(names)
     alphabet = SymbolAlphabet(frozenset(palette))
-    all_triples = tuple(taxon_set.triples())
-    quad_keys = {
-        quad: tuple(combinations(quad, 3)) for quad in taxon_set.subsets(4)
-    }
+    quads = [tuple(combinations(quad, 3)) for quad in taxon_set.subsets(4)]
 
     def survivor(values: dict[tuple[str, ...], str]) -> TernaryMap | None:
-        if not all(_quad_balanced(values, keys) for keys in quad_keys.values()):
+        if not all(_quad_balanced(values, keys) for keys in quads):
             return None
         tmap = TernaryMap(taxon_set, alphabet, values)
-        if check_star(tmap, fail_fast=True):
+        if check_star(tmap, fail_fast=True) or not non_thin_quadruples(generate_quartets(tmap)):
             return None
-        if non_thin_quadruples(generate_quartets(tmap)):
-            return tmap
-        return None
+        return tmap
 
     pinned_a = tuple(combinations((names[0], names[1], names[2], names[3]), 3))
     pinned_b = tuple(combinations((names[0], names[1], names[4], names[5]), 3))
-    loose = tuple(t for t in all_triples if t not in set(pinned_a) and t not in set(pinned_b))
-    for value_a in palette:
-        for value_b in palette:
-            base = {t: value_a for t in pinned_a}
-            base.update({t: value_b for t in pinned_b})
-            for bits in range(2 ** len(loose)):
-                values = dict(base)
-                for i, t in enumerate(loose):
-                    values[t] = palette[(bits >> i) & 1]
-                found = survivor(values)
-                if found is not None:
-                    return found
+    loose = tuple(t for t in taxon_set.triples() if t not in pinned_a + pinned_b)
+    for value_a, value_b in product(palette, repeat=2):
+        base = {**dict.fromkeys(pinned_a, value_a), **dict.fromkeys(pinned_b, value_b)}
+        for bits in range(2 ** len(loose)):
+            found = survivor(base | {t: palette[(bits >> i) & 1] for i, t in enumerate(loose)})
+            if found is not None:
+                return found
     raise RuntimeError("no witness exists over six taxa and two symbols")
 
 

@@ -17,8 +17,10 @@ maps and is the reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 from .core import TaxonSet, TernaryMap
@@ -87,8 +89,7 @@ class QuartetSystem:
         self.taxa = taxa
         self.members = frozenset(members)
         for q in self.members:
-            for t in q.support:
-                taxa.require(t)
+            taxa.require(*q.support)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -208,11 +209,8 @@ def _scan_quartets(tmap: TernaryMap) -> QuartetSystem:
 
 def non_thin_quadruples(system: QuartetSystem) -> tuple[tuple[str, ...], ...]:
     """4-subsets carrying two or more quartets of the system."""
-    per_quad: dict[frozenset[str], int] = {}
-    for q in system.members:
-        per_quad[q.support] = per_quad.get(q.support, 0) + 1
-    heavy = [quad for quad, count in per_quad.items() if count >= 2]
-    return tuple(sorted(tuple(sorted(quad)) for quad in heavy))
+    per_quad = Counter(q.support for q in system.members)
+    return tuple(sorted(tuple(sorted(quad)) for quad, count in per_quad.items() if count >= 2))
 
 
 def is_thin(system: QuartetSystem) -> bool:
@@ -222,11 +220,8 @@ def is_thin(system: QuartetSystem) -> bool:
 
 def is_complete(system: QuartetSystem) -> bool:
     """True when every 4-subset carries exactly one quartet."""
-    per_quad: dict[frozenset[str], int] = {}
-    for q in system.members:
-        per_quad[q.support] = per_quad.get(q.support, 0) + 1
-    total = len(tuple(combinations(system.taxa.names, 4)))
-    return len(per_quad) == total and all(c == 1 for c in per_quad.values())
+    per_quad = Counter(q.support for q in system.members)
+    return len(per_quad) == comb(len(system.taxa), 4) and all(c == 1 for c in per_quad.values())
 
 
 def is_transitive(system: QuartetSystem) -> bool:

@@ -53,8 +53,7 @@ def merge_symbol(tmap: TernaryMap, x: str, y: str) -> str | None:
     At most one symbol can pass for a map satisfying the 4-subset check; two
     passing symbols therefore raise NotAMetricError.
     """
-    tmap.taxa.require(x)
-    tmap.taxa.require(y)
+    tmap.taxa.require(x, y)
     if x == y:
         raise ValueError("merging is defined for two distinct taxa")
     others = [t for t in tmap.taxa if t != x and t != y]
@@ -167,8 +166,7 @@ def contract_class(
     otherwise no 3-subsets would remain.
     """
     group = tuple(sorted(set(members)))
-    for t in group:
-        tmap.taxa.require(t)
+    tmap.taxa.require(*group)
     if len(group) < 2:
         raise ValueError("a contraction needs at least two class members")
     check_identifier(new_name, "taxon name")
@@ -177,9 +175,7 @@ def contract_class(
     rest = [t for t in tmap.taxa if t not in set(group)]
     if len(rest) < 2:
         raise ValueError("a contraction needs at least two taxa outside the class")
-    values: dict[tuple[str, ...], str] = {}
-    for tri in combinations(rest, 3):
-        values[tri] = tmap.triple_value(tri)
+    values = {tri: tmap.triple_value(tri) for tri in combinations(rest, 3)}
     for u, v in combinations(rest, 2):
         through = {tmap.triple_value((x, u, v)) for x in group}
         if len(through) > 1:
@@ -187,9 +183,7 @@ def contract_class(
                 f"class members disagree on the pair {u} {v}: values {' '.join(sorted(through))}"
             )
         values[(new_name, u, v)] = through.pop()
-    reduced = build_ternary(
-        TaxonSet(tuple(rest) + (new_name,)), tmap.alphabet, values
-    )
+    reduced = build_ternary(TaxonSet(tuple(rest) + (new_name,)), tmap.alphabet, values)
     return ContractionStep(group, symbol, new_name, reduced)
 
 
@@ -241,19 +235,7 @@ def _grow(
     return ColoredTree(kept, dict(enumerate(names)), colors)
 
 
-def _first_mismatch(
-    tmap: TernaryMap, encoded: Iterable[tuple[tuple[str, str, str], str]]
-) -> tuple[tuple[str, str, str], str, str] | None:
-    """The first triple on which a candidate's encoding, given in canonical
-    order, differs from the map, with both values; None when they agree."""
-    for tri, got in encoded:
-        want = tmap.triple_value(tri)
-        if got != want:
-            return tri, got, want
-    return None
-
-
-def _split(group: list[int], value: list[list[str]], color: str) -> list[list[int]]:
+def _split(group: list[int], value: list[list[int]], color: int) -> list[list[int]]:
     """Components of the graph on group joining x and y when value[x][y] != color."""
     left = set(group)
     parts = []
@@ -283,13 +265,13 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
     """
     names = tmap.taxa.names
     n = len(names)
-    value = [[""] * n for _ in range(n)]
+    value = [[0] * n for _ in range(n)]  # map codes
     lca = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            value[i][j] = value[j][i] = tmap.triple_value((names[0], names[i], names[j]))
+    # The 3-subsets through position 0 come first in the map's codes.
+    for (i, j), c in zip(combinations(range(1, n), 2), tmap._codes):
+        value[i][j] = value[j][i] = c
     edges: list[tuple[int, int]] = []
-    colors: dict[int, str] = {}
+    colors: dict[int, int] = {}
     stack = [(list(range(1, n)), 0)]
     while stack:
         group, parent = stack.pop()
@@ -315,9 +297,10 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
                 for y in b:
                     lca[x][y] = lca[y][x] = vertex
         stack.extend((part, vertex) for part in parts)
-    if _first_mismatch(tmap, _median_colors(names, lca, colors)) is not None:
+    colored = {v: tmap._symbols[c] for v, c in colors.items()}
+    if TernaryMap._of(tmap.taxa, tmap.alphabet, _median_colors(lca, colored)) != tmap:
         return None
-    return ColoredTree(edges, dict(enumerate(names)), colors)
+    return ColoredTree(edges, dict(enumerate(names)), colored)
 
 
 def reconstruct_tree(
@@ -335,9 +318,10 @@ def reconstruct_tree(
     tree = certified_tree(tmap) if on_step is None else None
     if tree is None:
         tree = _grow(tmap, on_step)
-        mismatch = _first_mismatch(tmap, tree.median_colors())
-        if mismatch is not None:
-            tri, got, want = mismatch
+        encoded = tree.encode()
+        if encoded != tmap:
+            pairs = zip(encoded.entries(), tmap.entries())
+            tri, got, want = next((t, g, w) for (t, g), (_, w) in pairs if g != w)
             raise NotAMetricError(
                 f"no tree encodes this map: the candidate tree gives {got} on "
                 f"{' '.join(tri)} where the map gives {want}"

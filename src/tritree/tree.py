@@ -18,7 +18,7 @@ import re
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
-from .core import SymbolAlphabet, TaxonSet, TernaryMap, check_identifier
+from .core import SymbolAlphabet, TaxonSet, TernaryMap, _require_distinct, check_identifier
 from .quartets import Quartet, QuartetSystem
 
 __all__ = [
@@ -90,9 +90,7 @@ class ColoredTree:
         names = list(leaves.values())
         if len(names) < 3:
             raise TreeValidationError(f"a tree needs at least three leaves, got {len(names)}")
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise TreeValidationError(f"duplicate taxon names: {' '.join(dupes)}")
+        _require_distinct(names, TreeValidationError)
         if len(edge_set) != len(vertices) - 1:
             raise TreeValidationError(
                 f"not a tree: {len(vertices)} vertices need {len(vertices) - 1} edges, got {len(edge_set)}"
@@ -204,14 +202,10 @@ class ColoredTree:
         lca = self._lca_table()
         return _deepest(lca[i][j], lca[i][k], lca[j][k])
 
-    def median_colors(self) -> Iterator[tuple[tuple[str, str, str], str]]:
-        """Each 3-subset of taxa in canonical order with its median's color."""
-        return _median_colors(self.taxa.names, self._lca_table(), self.colors)
-
     def encode(self) -> TernaryMap:
         """The ternary map sending each 3-subset of taxa to its median's color."""
-        alphabet = SymbolAlphabet(frozenset(self.colors.values()))
-        return TernaryMap(self.taxa, alphabet, dict(self.median_colors()))
+        alphabet = SymbolAlphabet(self.colors.values())
+        return TernaryMap._of(self.taxa, alphabet, _median_colors(self._lca_table(), self.colors))
 
     def displayed_quartets(self) -> QuartetSystem:
         """Quartets a b | c d whose two pair paths share no vertex.
@@ -248,19 +242,15 @@ def _deepest(ij: int, ik: int, jk: int) -> int:
     return ik if ij == jk else ij
 
 
-def _median_colors(
-    names: tuple[str, ...], lca: list[list[int]], colors: Mapping[int, str]
-) -> Iterator[tuple[tuple[str, str, str], str]]:
-    """Each 3-subset of names in canonical order with its median's color,
-    from a table of pairwise LCAs in any rooting, indexed by position."""
-    n = len(names)
-    for i in range(n):
-        row_i = lca[i]
-        for j in range(i + 1, n):
-            row_j = lca[j]
-            ij = row_i[j]
-            for k in range(j + 1, n):
-                yield (names[i], names[j], names[k]), colors[_deepest(ij, row_i[k], row_j[k])]
+def _median_colors(lca: list[list[int]], colors: Mapping[int, str]) -> Iterator[str]:
+    """The color of the median of each 3-subset of positions, in combinations
+    order, from a table of pairwise LCAs in any rooting."""
+    n = len(lca)
+    for i, j in combinations(range(n), 2):
+        row_i, row_j = lca[i], lca[j]
+        ij = row_i[j]
+        for k in range(j + 1, n):
+            yield colors[_deepest(ij, row_i[k], row_j[k])]
 
 
 def _quad_medians(lca: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -383,9 +373,7 @@ def parse_newick(text: str) -> ColoredTree:
                 f"taxon name {name!r} is reserved ('@' prefixes composite taxa)", pos
             )
     names = [name for name, _, _ in leaves]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise TreeValidationError(f"duplicate taxon names: {' '.join(dupes)}")
+    _require_distinct(names, TreeValidationError)
 
     # Leaves take their sorted-name index; interior vertices follow in '('
     # order, which is pre-order, less an unlabeled root that is dropped.

@@ -2,7 +2,9 @@
 
 import io
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,22 @@ class TestVerify:
         )
         assert main(["verify", str(table)]) == 3
         assert "missing 3-subsets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_header_only_table_costs_what_it_holds(self, tmp_path, capsys, n):
+        names = [f"t{i:04d}" for i in range(n)]
+        table = tmp_path / "header.table"
+        table.write_text("taxa: " + " ".join(names) + "\nsymbols: a\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["verify", str(table)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        shown = ", ".join(f"t0000 t0001 {names[k]}" for k in range(2, 7))
+        more = comb(n, 3) - 5
+        assert capsys.readouterr().err == f"error: missing 3-subsets: {shown} (and {more} more)\n"
+        assert peak < 5_000_000  # bytes: no array of C(n, 3) codes
 
 
 class TestReconstruct:

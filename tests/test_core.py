@@ -1,5 +1,6 @@
 """Taxon sets, alphabets, ternary maps, and the triple-table text format."""
 
+import re
 from itertools import permutations, product
 
 import pytest
@@ -33,6 +34,16 @@ CONSTANT4 = {
 }
 
 
+def exactly(message: str) -> str:
+    """A pattern for pytest.raises matching the whole message and nothing else."""
+    return "^" + re.escape(message) + "$"
+
+
+TABLE4 = "taxa: t1 t2 t3 t4\nsymbols: a b\n"
+# 8 000 taxon names with one repeat: the duplicate report must not cost n^2.
+MANY_NAMES = [f"t{i:04d}" for i in range(8000)] + ["t0042"]
+
+
 class TestTaxonSet:
     def test_names_are_sorted(self):
         assert TaxonSet(("c", "a", "b")).names == ("a", "b", "c")
@@ -40,6 +51,17 @@ class TestTaxonSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate taxon names: a"):
             TaxonSet(("a", "a", "b"))
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (("b", "c", "b", "a", "c", "b"), "duplicate taxon names: b c"),
+            pytest.param(MANY_NAMES, "duplicate taxon names: t0042", id="8000-names"),
+        ],
+    )
+    def test_names_every_duplicate_once(self, names, message):
+        with pytest.raises(ValueError, match=exactly(message)):
+            TaxonSet(tuple(names))
 
     def test_rejects_fewer_than_three(self):
         with pytest.raises(ValueError, match="at least three"):
@@ -154,6 +176,13 @@ class TestTernaryMap:
         with pytest.raises(MapBuildError, match="must be an alphabet symbol"):
             small_map(bad)
 
+    def test_unhashable_value_rejected(self):
+        bad = dict(CONSTANT4)
+        bad[("t1", "t3", "t4")] = ["a"]
+        message = "value for t1/t3/t4 must be an alphabet symbol, got ['a']"
+        with pytest.raises(MapBuildError, match=exactly(message)):
+            small_map(bad)
+
     def test_equality_ignores_declared_alphabet(self):
         taxa = TaxonSet(("t1", "t2", "t3", "t4"))
         narrow = TernaryMap(taxa, SymbolAlphabet(frozenset(("a",))), CONSTANT4)
@@ -201,6 +230,53 @@ class TestBuildTernary:
         taxa = TaxonSet(("t1", "t2", "t3", "t4"))
         with pytest.raises(MapBuildError, match="exactly three taxa"):
             build_ternary(taxa, SymbolAlphabet(frozenset(("a",))), [(("t1", "t2"), "a")])
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # Per entry, in entry order: arity, repeated taxon, unknown taxon, conflict.
+            (
+                [(("t1", "t2", "t3"), "z"), (("t1", "t2", "t4", "t3"), "a")],
+                "entry ('t1', 't2', 't4', 't3') does not name exactly three taxa",
+            ),
+            (
+                [(("t2", "t1", "t2"), "a"), (("t1", "t2", "t9"), "a")],
+                "3-subset with a repeated taxon: t2 t1 t2",
+            ),
+            ([(("t1", "t2", "t3"), 7), (("t4", "t9", "t1"), "a")], "unknown taxon 't9'"),
+            # A conflict beats an earlier value that is no alphabet symbol.
+            (
+                [(("t1", "t2", "t3"), "z"), (("t1", "t2", "t4"), "a"), (("t4", "t2", "t1"), "b")],
+                "conflicting values for t1 t2 t4: 'a' and 'b'",
+            ),
+            (
+                [(("t3", "t2", "t1"), ["a"]), (("t1", "t2", "t3"), "a")],
+                "conflicting values for t1 t2 t3: ['a'] and 'a'",
+            ),
+            (
+                [(("t1", "t2", "t3"), "z"), (("t2", "t1", "t3"), "a")],
+                "conflicting values for t1 t2 t3: 'z' and 'a'",
+            ),
+            # Then the first bad value in entry order, before any missing subset.
+            (
+                [(("t2", "t3", "t4"), "x"), (("t1", "t2", "t3"), 3)],
+                "symbol 'x' is not in the declared alphabet",
+            ),
+            (
+                [(("t4", "t3", "t2"), NON_EVENT), (("t1", "t2", "t3"), "x")],
+                "value for t2/t3/t4 must be an alphabet symbol, got NON_EVENT",
+            ),
+            (
+                [(("t1", "t3", "t4"), ["a"]), (("t4", "t1", "t3"), ["a"]), (("t1", "t2", "t3"), "x")],
+                "value for t1/t3/t4 must be an alphabet symbol, got ['a']",
+            ),
+            ([(("t1", "t2", "t4"), "a")], "missing 3-subsets: t1 t2 t3, t1 t3 t4, t2 t3 t4"),
+        ],
+    )
+    def test_first_complaint(self, entries, message):
+        taxa = TaxonSet(("t1", "t2", "t3", "t4"))
+        with pytest.raises((MapBuildError, ValueError), match=exactly(message)):
+            build_ternary(taxa, SymbolAlphabet(frozenset(("a", "b"))), entries)
 
 
 class TestTableText:
@@ -253,6 +329,43 @@ class TestTableText:
             (
                 "taxa: t1 t2 t3\nsymbols: a b\nt1 t2 t3 a\nt3 t2 t1 b\n",
                 "conflicting values",
+            ),
+            # Whole messages, where more than one complaint applies.
+            (
+                TABLE4 + "t1 t2 t3 z\nt1 t2 t4 a\nt4 t2 t1 b\n",
+                exactly("conflicting values for t1 t2 t4: 'a' and 'b'"),
+            ),
+            (
+                TABLE4 + "t1 t2 t3 z\nt3 t1 t2 a\n",
+                exactly("conflicting values for t1 t2 t3: 'z' and 'a'"),
+            ),
+            (
+                TABLE4 + "t1 t2 t3 a\nt2 t3 t4 q\n",
+                exactly("symbol 'q' is not in the declared alphabet"),
+            ),
+            (
+                TABLE4 + "t2 t4 t3 y\nt1 t2 t3 x\nt1 t2 t4 a\nt1 t3 t4 a\n",
+                exactly("symbol 'y' is not in the declared alphabet"),
+            ),
+            (
+                TABLE4 + "t1 t2 t3 a\nt1 t2 t3 a\nt2 t3 t4 b\n",
+                exactly("missing 3-subsets: t1 t2 t4, t1 t3 t4"),
+            ),
+            (
+                "taxa: t1 t2 t3 t4 t5 t6 t7\nsymbols: a\nt1 t2 t4 a\n",
+                exactly(
+                    "missing 3-subsets: t1 t2 t3, t1 t2 t5, t1 t2 t6, t1 t2 t7, t1 t3 t4 (and 29 more)"
+                ),
+            ),
+            (
+                TABLE4 + "t1 t2 t3 a\nt1 t2 t3 b\nt1 t2 t9 a\n",
+                exactly("conflicting values for t1 t2 t3: 'a' and 'b'"),
+            ),
+            (TABLE4 + "t1 t2 t9 a\nt1 t2 t3 a\nt1 t2 t3 b\n", exactly("unknown taxon 't9'")),
+            pytest.param(
+                "taxa: " + " ".join(MANY_NAMES) + "\nsymbols: a\n",
+                exactly("duplicate taxon names: t0042"),
+                id="8000-names-one-repeat",
             ),
         ],
     )

@@ -18,6 +18,11 @@ from tritree import (
 import helpers
 import strategies
 
+# 8 000 leaves under one hub, each of 2 000 names four times: the duplicate
+# report must not cost n^2.
+MANY_LEAVES = [f"x{i % 2000}" for i in range(8000)]
+MANY_DUPLICATES = "duplicate taxon names: " + " ".join(sorted(set(MANY_LEAVES)))
+
 
 class TestValidation:
     def test_minimal_tree(self):
@@ -85,6 +90,13 @@ class TestValidation:
                 {0: "x", 1: "y", 2: "z"},
                 {3: "no good"},
                 "whitespace",
+            ),
+            pytest.param(
+                [(i, len(MANY_LEAVES)) for i in range(len(MANY_LEAVES))],
+                dict(enumerate(MANY_LEAVES)),
+                {len(MANY_LEAVES): "a"},
+                "^" + MANY_DUPLICATES + "$",
+                id="8000-leaves-2000-duplicates",
             ),
         ],
     )
@@ -313,6 +325,11 @@ class TestNewick:
             ("(x,(y,z)c)a;", "degree 2"),
             ("(x,x,y)a;", "duplicate taxon names: x"),
             ("((x,x),z,w);", "duplicate taxon names: x"),
+            pytest.param(
+                "(" + ",".join(MANY_LEAVES) + ")a;",
+                "^" + MANY_DUPLICATES + "$",
+                id="8000-leaves-2000-duplicates",
+            ),
         ],
     )
     def test_structural_errors(self, text, complaint):
