@@ -6,8 +6,7 @@ resolver condition:
 
 * 4-subset check: the four values inside a 4-subset are either all equal or
   split two against two;
-* 5-subset check: the ten values inside a 5-subset never split five against
-  five;
+* 5-subset check: the ten values inside a 5-subset never split five against five;
 * resolver check: every 4-subset whose four inner values agree is resolved
   by some outside taxon (see quartets.resolved_quartet).
 
@@ -17,7 +16,9 @@ maps encoded by binary trees.
 
 verify_metric accepts in O(n^3): a map passes both subset checks exactly when
 reconstruct.certified_tree finds its tree, whose star 4-subsets are then the
-resolver check's failures.  The scans explain rejections and are the reference.
+resolver check's failures.  The scans explain rejections.  They walk sorted
+positions over the map's code array and name taxa only in a Violation; their
+name-based reference copies are in tests/reference_scans.py.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .core import TernaryMap
-from .quartets import resolved_quartet
+from .quartets import _quads, _resolution, _through
 from .reconstruct import certified_tree
 from .tree import ColoredTree, _quad_medians
 
@@ -91,14 +92,18 @@ class Violation:
         return f"COND {self.condition} SUBSET {' '.join(self.subset)} DETAIL {self.detail}"
 
 
+def _violation(condition: str, tmap: TernaryMap, at: list[int]) -> Violation:
+    profile = partition_profile(tmap, [tmap.taxa.names[i] for i in at])
+    return Violation(condition, profile.subset, "values " + profile.describe())
+
+
 def check_condition3(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Violation, ...]:
     """4-subsets whose inner values are neither constant nor split 2-2."""
     found = []
-    for quad in tmap.taxa.subsets(4):
-        profile = partition_profile(tmap, quad)
-        if len(profile.counts) == 1 or profile.is_partitioned(2, 2):
+    for i, j, k, l, a, b, c, d in _quads(tmap):
+        if a == b and c == d or a == c and b == d or a == d and b == c:
             continue
-        found.append(Violation("3", quad, "values " + profile.describe()))
+        found.append(_violation("3", tmap, [i, j, k, l]))
         if fail_fast:
             break
     return tuple(found)
@@ -107,12 +112,21 @@ def check_condition3(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Viol
 def check_condition4(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Violation, ...]:
     """5-subsets whose ten inner values split 5-5."""
     found = []
-    for five in tmap.taxa.subsets(5):
-        profile = partition_profile(tmap, five)
-        if profile.is_partitioned(5, 5):
-            found.append(Violation("4", five, "values " + profile.describe()))
-            if fail_fast:
-                break
+    codes, (first, second), n = tmap._codes, tmap.taxa._ranks, len(tmap.taxa)
+    for i, j, k, l, a, b, c, d in _quads(tmap):
+        four = (a, b, c, d)
+        if l + 1 == n or len(set(four)) > 2:
+            continue
+        need = 5 - four.count(a)  # a 5-5 split holds the code a of i j k five times
+        fi, fj, fk, gl = first[i], first[j], first[k], second[l]
+        runs = (fi + second[j], fi + second[k], fi + gl, fj + second[k], fj + gl, fk + gl)
+        # The codes of i j m, i k m, i l m, j k m, j l m and k l m for each m > l.
+        sixes = zip(*[codes[r + l + 1 : r + n] for r in runs])
+        for m, six in enumerate(sixes, l + 1):
+            if six.count(a) == need and len(set(six).union(four)) == 2:
+                found.append(_violation("4", tmap, [i, j, k, l, m]))
+                if fail_fast:
+                    return tuple(found)
     return tuple(found)
 
 
@@ -127,28 +141,28 @@ def check_star(
     4-subset check the two readings agree.
     """
     found = []
-    names = tmap.taxa.names
-    for quad in tmap.taxa.subsets(4):
-        inner = {tmap.triple_value(tri) for tri in combinations(quad, 3)}
-        if len(inner) != 1:
+    names, n = tmap.taxa.names, len(tmap.taxa)
+    where = "with no resolving taxon" if n > 4 else "and no taxa outside the 4-subset"
+    rows: list[list[int]] = []
+    for i, j, k, l, a, b, c, d in _quads(tmap):
+        if not a == b == c == d:
             continue
-        (value,) = inner
-        outside = [e for e in names if e not in quad]
+        rows = rows or [tmap._row(e) for e in range(n)]
+        # The rows of i, j, k and l read a and -1 three times each: no test passes.
+        sixes = map(_through(tmap.taxa, i, j, k, l), rows)
         if strict:
-            resolved = any(resolved_quartet(tmap, quad, e) is not None for e in outside)
+            resolved = any(_resolution(a, six) is not None for six in sixes)
         else:
+            # A 4-6 split: six times one other code, or a twice and another code four times.
             resolved = any(
-                partition_profile(tmap, quad + (e,)).is_partitioned(4, 6) for e in outside
+                (count := six.count(a)) in (0, 2) and len(set(six)) == 1 + count // 2
+                for six in sixes
             )
-        if resolved:
-            continue
-        if outside:
-            detail = f"constant value {value} with no resolving taxon"
-        else:
-            detail = f"constant value {value} and no taxa outside the 4-subset"
-        found.append(Violation("*", quad, detail))
-        if fail_fast:
-            break
+        if not resolved:
+            quad = (names[i], names[j], names[k], names[l])
+            found.append(Violation("*", quad, f"constant value {tmap._symbols[a]} {where}"))
+            if fail_fast:
+                break
     return tuple(found)
 
 

@@ -130,6 +130,10 @@ class TaxonSet:
         first, second = self._ranks
         return first[i] + second[j] + k
 
+    def _pair(self, u: int, v: int) -> int:
+        """The number of the pair of positions u < v in combinations order."""
+        return u * (2 * len(self.names) - u - 3) // 2 + v - 1
+
     def triples(self) -> Iterator[tuple[str, str, str]]:
         """All 3-subsets in canonical (sorted) order."""
         return combinations(self.names, 3)
@@ -265,6 +269,18 @@ class TernaryMap:
     def triple_value(self, triple: Iterable[str]) -> str:
         """Fast path for three distinct known taxa; no argument checking."""
         return self._symbols[self._codes[self.taxa._rank(*triple)]]
+
+    def _row(self, x: int) -> list[int]:
+        """The codes of the 3-subsets {x, u, v}, one per pair u < v of positions
+        numbered by TaxonSet._pair, with -1 where x is u or v."""
+        codes, (first, second), n = self._codes, self.taxa._ranks, len(self.taxa)
+        row: list[int] = []
+        for u in range(x):
+            row += [codes[first[u] + second[v] + x] for v in range(u + 1, x)] + [-1]
+            row += codes[first[u] + second[x] + x + 1 : first[u] + second[x] + n]
+        row += [-1] * (n - 1 - x)
+        # The 3-subsets x < u < v open the last C(n - x, 3), those of positions x and up.
+        return row + codes[len(codes) - comb(n - x, 3) : len(codes) - comb(n - x - 1, 3)].tolist()
 
     def triples(self) -> Iterator[tuple[str, str, str]]:
         return self.taxa.triples()

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import TaxonSet, TernaryMap
@@ -120,9 +121,34 @@ class QuartetSystem:
         return "".join(f"{q}\n" for q in self)
 
 
-def _inner_values(tmap: TernaryMap, quad: tuple[str, ...]) -> dict[tuple[str, ...], str]:
-    """Value of each of the four triples inside a 4-subset, keyed by the omitted pair's complement."""
-    return {tri: tmap.triple_value(tri) for tri in combinations(sorted(quad), 3)}
+def _quads(tmap: TernaryMap) -> Iterator[tuple[int, ...]]:
+    """(i, j, k, l, ijk, ijl, ikl, jkl) for every 4-subset of positions
+    i < j < k < l in combinations order, with the codes of its four 3-subsets."""
+    codes, (first, second), n = tmap._codes, tmap.taxa._ranks, len(tmap.taxa)
+    for i, j, k in combinations(range(n - 1), 3):
+        ij, ik, jk = first[i] + second[j], first[i] + second[k], first[j] + second[k]
+        yield from zip(
+            repeat(i), repeat(j), repeat(k), range(k + 1, n), repeat(codes[ij + k]),
+            codes[ij + k + 1 : ij + n], codes[ik + k + 1 : ik + n], codes[jk + k + 1 : jk + n],
+        )
+
+
+def _through(taxa: TaxonSet, i: int, j: int, k: int, l: int) -> itemgetter:
+    """Reads the codes with pairs ij, kl, ik, jl, il and jk from a taxon's row."""
+    pair = taxa._pair
+    return itemgetter(pair(i, j), pair(k, l), pair(i, k), pair(j, l), pair(i, l), pair(j, k))
+
+
+def _resolution(m: int, six: tuple[int, ...]) -> int | None:
+    """The index in pairings() of the pairing whose own two pairs keep the code
+    m of a constant 4-subset and whose four cross pairs share one other code,
+    in the codes six that _through reads from an outside taxon's row; or None."""
+    if six.count(m) == 2:
+        for p in (0, 2, 4):
+            if six[p] == six[p + 1] == m:
+                cross = six[:p] + six[p + 2 :]
+                return p // 2 if cross.count(cross[0]) == 4 else None
+    return None
 
 
 def resolved_quartet(
@@ -140,25 +166,13 @@ def resolved_quartet(
     tmap.taxa.require(e)
     if e in quad:
         raise ValueError(f"resolver {e!r} must lie outside the 4-subset")
-    inner = set(_inner_values(tmap, quad).values())
+    inner = {tmap.triple_value(tri) for tri in combinations(quad, 3)}
     if len(inner) != 1:
-        raise ValueError(
-            f"4-subset {' '.join(quad)} is not constant: values {sorted(inner)}"
-        )
-    (m,) = inner
-    for (p1, p2), (q1, q2) in pairings(*quad):
-        if tmap.triple_value((p1, p2, e)) != m:
-            continue
-        if tmap.triple_value((q1, q2, e)) != m:
-            continue
-        cross = {
-            tmap.triple_value((p, q, e))
-            for p in (p1, p2)
-            for q in (q1, q2)
-        }
-        if len(cross) == 1 and m not in cross:
-            return Quartet((p1, p2), (q1, q2))
-    return None
+        raise ValueError(f"4-subset {' '.join(quad)} is not constant: values {sorted(inner)}")
+    index = tmap.taxa._index
+    six = _through(tmap.taxa, *(index[t] for t in quad))(tmap._row(index[e]))
+    p = _resolution(tmap._symbols.index(inner.pop()), six)
+    return None if p is None else Quartet(*pairings(*quad)[p])
 
 
 def generate_quartets(tmap: TernaryMap) -> QuartetSystem:
@@ -176,34 +190,21 @@ def generate_quartets(tmap: TernaryMap) -> QuartetSystem:
 
 def _scan_quartets(tmap: TernaryMap) -> QuartetSystem:
     """generate_quartets by the 4-subset and resolver scan, on any map."""
+    names, n = tmap.taxa.names, len(tmap.taxa)
+    rows = [tmap._row(e) for e in range(n)]
     found: set[Quartet] = set()
-    names = tmap.taxa.names
-    for quad in combinations(names, 4):
-        inner = _inner_values(tmap, quad)
-        by_value: dict[str, list[tuple[str, ...]]] = {}
-        for tri, val in inner.items():
-            by_value.setdefault(val, []).append(tri)
-        if len(by_value) == 2:
-            groups = list(by_value.values())
-            if len(groups[0]) != 2:
-                continue
-            # The two triples sharing a value omit one taxon each; those
-            # two omitted taxa form one side of the quartet.
-            quad_set = set(quad)
-            omitted = [(quad_set - set(tri)).pop() for tri in groups[0]]
-            pair = tuple(sorted(omitted))
-            other = tuple(sorted(quad_set - set(pair)))
-            found.add(Quartet(pair, other))
-        elif len(by_value) == 1:
-            outside = [t for t in names if t not in quad]
-            seen: set[Quartet] = set()
-            for e in outside:
-                q = resolved_quartet(tmap, quad, e)
-                if q is not None:
-                    seen.add(q)
-                    if len(seen) == 3:
-                        break
-            found.update(seen)
+    for i, j, k, l, a, b, c, d in _quads(tmap):
+        if a == b == c == d:
+            # The rows of i, j, k and l resolve nothing (see check_star).
+            sixes = map(_through(tmap.taxa, i, j, k, l), rows)
+            resolved = {_resolution(a, six) for six in sixes} - {None}
+        elif a == b and c == d or a == c and b == d or a == d and b == c:
+            # The 2-2 split pairs the two taxa omitted by the triples sharing a's value.
+            resolved = {0 if a == b else 1 if a == c else 2}
+        else:
+            continue
+        quad = pairings(names[i], names[j], names[k], names[l])
+        found.update(Quartet(*quad[p]) for p in resolved)
     return QuartetSystem(tmap.taxa, found)
 
 

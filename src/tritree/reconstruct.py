@@ -12,10 +12,11 @@ The explain route is the paper's bottom-up contraction.  It runs when the
 contraction steps are observed (``--trace``) and when the accept route finds
 no tree, so that every rejection says why.  Two taxa merge under a symbol m
 when some triple through both takes the value m and every other triple takes
-m through one exactly when it does through the other.  In a map that encodes
-a tree, the classes of this relation with two or more members are exactly
-the pseudo-cherries: the groups of all leaves sharing one interior vertex,
-whose color is the class symbol.
+m through one exactly when it does through the other.  Each step reads every
+taxon's row of codes once (tests/reference_scans.py has the name-based copy).
+In a map that encodes a tree, the classes of this relation with two or more
+members are exactly the pseudo-cherries: the groups of all leaves sharing one
+interior vertex, whose color is the class symbol.
 
 Each contraction replaces a class by a composite taxon, named ``@1``,
 ``@2``, ... (which is why ``@`` is banned as the first character of input
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .core import TaxonSet, TernaryMap, build_ternary, check_identifier
+from .core import TaxonSet, TernaryMap, check_identifier
 from .tree import ColoredTree, _median_colors, _renumbered
 
 __all__ = [
@@ -56,16 +57,24 @@ def merge_symbol(tmap: TernaryMap, x: str, y: str) -> str | None:
     tmap.taxa.require(x, y)
     if x == y:
         raise ValueError("merging is defined for two distinct taxa")
-    others = [t for t in tmap.taxa if t != x and t != y]
-    candidates = sorted({tmap.triple_value((x, y, z)) for z in others})
-    other_pairs = list(combinations(others, 2))
+    return _merge_symbol(tmap, *(_pair_sets(tmap, tmap.taxa._index[t]) for t in (x, y)), x, y)
+
+
+def _pair_sets(tmap: TernaryMap, x: int) -> dict[int, int]:
+    """For each code in the row of position x, the pairs whose triple with x
+    has it, as an int with one byte per pair; code -1 gives the pairs through x."""
+    row = tmap._row(x)
+    return {m: int.from_bytes(bytes(map(m.__eq__, row)), "big") for m in set(row)}
+
+
+def _merge_symbol(tmap: TernaryMap, at_x: dict, at_y: dict, x: str, y: str) -> str | None:
+    """merge_symbol from the pair sets of x and y: the codes of triples through
+    both whose pairs, read through x and through y, agree off x and y."""
+    through_y, off = at_y[-1], ~(at_x[-1] | at_y[-1])
     passing = [
-        m
-        for m in candidates
-        if all(
-            (tmap.triple_value((x, u, v)) == m) == (tmap.triple_value((y, u, v)) == m)
-            for u, v in other_pairs
-        )
+        tmap._symbols[m]
+        for m in sorted(at_x.keys() & at_y.keys())
+        if m >= 0 and at_x[m] & through_y and not (at_x[m] ^ at_y[m]) & off
     ]
     if len(passing) > 1:
         raise NotAMetricError(
@@ -99,10 +108,11 @@ def equivalence_classes(tmap: TernaryMap) -> EquivalenceClasses:
     trees never trigger either.
     """
     names = tmap.taxa.names
+    sets = [_pair_sets(tmap, i) for i in range(len(names))]
     pair_symbol: dict[tuple[str, str], str] = {}
     adjacent: dict[str, set[str]] = {x: set() for x in names}
-    for x, y in combinations(names, 2):
-        symbol = merge_symbol(tmap, x, y)
+    for (i, x), (j, y) in combinations(enumerate(names), 2):
+        symbol = _merge_symbol(tmap, sets[i], sets[j], x, y)
         if symbol is not None:
             pair_symbol[(x, y)] = symbol
             adjacent[x].add(y)
@@ -121,10 +131,6 @@ def equivalence_classes(tmap: TernaryMap) -> EquivalenceClasses:
             group.update(frontier)
         placed.update(group)
         members = tuple(sorted(group))
-        if len(members) == 1:
-            classes.append(members)
-            symbols.append(None)
-            continue
         seen: dict[str, tuple[str, str]] = {}
         for u, v in combinations(members, 2):
             got = pair_symbol.get((u, v))
@@ -141,7 +147,7 @@ def equivalence_classes(tmap: TernaryMap) -> EquivalenceClasses:
                 f"while {u2} and {v2} merge under {s2}"
             )
         classes.append(members)
-        symbols.append(next(iter(seen)))
+        symbols.append(next(iter(seen), None))
     return EquivalenceClasses(tuple(classes), tuple(symbols))
 
 
@@ -175,15 +181,15 @@ def contract_class(
     rest = [t for t in tmap.taxa if t not in set(group)]
     if len(rest) < 2:
         raise ValueError("a contraction needs at least two taxa outside the class")
-    values = {tri: tmap.triple_value(tri) for tri in combinations(rest, 3)}
     for u, v in combinations(rest, 2):
         through = {tmap.triple_value((x, u, v)) for x in group}
         if len(through) > 1:
             raise NotAMetricError(
                 f"class members disagree on the pair {u} {v}: values {' '.join(sorted(through))}"
             )
-        values[(new_name, u, v)] = through.pop()
-    reduced = build_ternary(TaxonSet(tuple(rest) + (new_name,)), tmap.alphabet, values)
+    taxa = TaxonSet(tuple(rest) + (new_name,))
+    old = [group[0] if t == new_name else t for t in taxa.names]  # all members read alike
+    reduced = TernaryMap._of(taxa, tmap.alphabet, map(tmap.triple_value, combinations(old, 3)))
     return ContractionStep(group, symbol, new_name, reduced)
 
 

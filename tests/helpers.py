@@ -18,13 +18,12 @@ from tritree import (
     MetricReport,
     SymbolAlphabet,
     TernaryMap,
-    check_condition3,
-    check_condition4,
-    check_star,
     enumerate_colorings,
     enumerate_trees,
 )
 from tritree.oracle import two_cycle_map  # noqa: F401  (re-exported for the fixtures)
+
+import reference_scans
 
 PALETTE = ("a", "b", "c")
 CAP_PER_TOPOLOGY = 500
@@ -141,7 +140,7 @@ def random_encodings_and_perturbations(seed: int, count: int, max_n: int = 14):
 
 def metric_by_scans(tmap: TernaryMap) -> bool:
     """The 4- and 5-subset checks by their reference scans."""
-    return not check_condition3(tmap) and not check_condition4(tmap)
+    return not reference_scans.check_condition3(tmap) and not reference_scans.check_condition4(tmap)
 
 
 def scan_report(
@@ -150,12 +149,14 @@ def scan_report(
     include_star: bool = False,
     strict_star: bool = True,
     fail_fast: bool = False,
+    scans=reference_scans,
 ) -> MetricReport:
-    """verify_metric's report built from the reference scans alone."""
-    violations = check_condition3(tmap, fail_fast=fail_fast)
+    """verify_metric's report built from the scans alone: by default the
+    frozen reference copies, or the check_* functions of another module."""
+    violations = scans.check_condition3(tmap, fail_fast=fail_fast)
     if not (fail_fast and violations):
-        violations += check_condition4(tmap, fail_fast=fail_fast)
-    star = check_star(tmap, strict=strict_star, fail_fast=fail_fast) if include_star else ()
+        violations += scans.check_condition4(tmap, fail_fast=fail_fast)
+    star = scans.check_star(tmap, strict=strict_star, fail_fast=fail_fast) if include_star else ()
     return MetricReport(violations, include_star, star)
 
 

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritree import check_condition3, parse_newick, trees_isomorphic, write_newick
+from tritree import parse_newick, trees_isomorphic, write_newick
 from tritree.cli import main
-from tritree.quartets import _scan_quartets
 from tritree.reconstruct import certified_tree
 
 import helpers
+import reference_scans
 
 STAR4_TABLE = (
     "taxa: t1 t2 t3 t4\n"
@@ -75,9 +75,9 @@ def by_scans(argv, tmap):
     command, flags = argv[0], set(argv[1:])
     strict = "--no-strict-star" not in flags
     if command == "quartets":
-        violations = check_condition3(tmap)
+        violations = reference_scans.check_condition3(tmap)
         if not violations:
-            return 0, _scan_quartets(tmap).to_text(), ""
+            return 0, reference_scans.scan_quartets(tmap).to_text(), ""
         undefined = "error: the map fails the 4-subset check, so its quartets are undefined\n"
         return 1, "", "".join(v.line + "\n" for v in violations) + undefined
     if command == "check-binary":
