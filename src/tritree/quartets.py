@@ -163,7 +163,7 @@ def resolved_quartet(
     quad = tuple(sorted(set(quad)))
     if len(quad) != 4:
         raise ValueError(f"expected four distinct taxa, got {quad!r}")
-    tmap.taxa.require(e)
+    tmap.taxa.require(*quad, e)
     if e in quad:
         raise ValueError(f"resolver {e!r} must lie outside the 4-subset")
     inner = {tmap.triple_value(tri) for tri in combinations(quad, 3)}

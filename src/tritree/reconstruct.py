@@ -9,8 +9,9 @@ value(r, x, y) differs from c is disconnected, and the components are its
 children.  The result is certified against the map triple by triple.
 
 The explain route is the paper's bottom-up contraction.  It runs when the
-contraction steps are observed (``--trace``) and when the accept route finds
-no tree, so that every rejection says why.  Two taxa merge under a symbol m
+accept route finds no tree, so that every rejection says why, and as well
+when its steps are observed (``--trace``); the tree returned is always the
+accept route's, the only one by the paper.  Two taxa merge under a symbol m
 when some triple through both takes the value m and every other triple takes
 m through one exactly when it does through the other.  Each step reads every
 taxon's row of codes once (tests/reference_scans.py has the name-based copy).
@@ -19,15 +20,16 @@ members are exactly the pseudo-cherries: the groups of all leaves sharing one
 interior vertex, whose color is the class symbol.
 
 Each contraction replaces a class by a composite taxon, named ``@1``,
-``@2``, ... (which is why ``@`` is banned as the first character of input
-taxa).  The candidate tree is certified at the end, so every map that is not
-an encoding is rejected, at the latest, there.
+``@2``, ... and skipping the input's own taxa (the table and Newick readers
+ban ``@`` as the first character of a taxon; library maps may use it).  The
+candidate tree is encoded and compared with the map at the end, so every map
+that is not an encoding is rejected, at the latest, there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Iterable
 
 from .core import TaxonSet, TernaryMap, check_identifier
@@ -193,52 +195,45 @@ def contract_class(
     return ContractionStep(group, symbol, new_name, reduced)
 
 
-def _grow(
-    tmap: TernaryMap, on_step: Callable[[ContractionStep], None] | None
-) -> ColoredTree:
-    """The candidate tree for tmap, grown one contraction at a time.
+def _grow(tmap: TernaryMap, on_step: Callable[[ContractionStep], None] | None) -> None:
+    """Run the bottom-up contraction on tmap, passing each step to on_step,
+    and raise NotAMetricError when it fails or its tree does not encode tmap.
 
     Each contraction adds a vertex with the class symbol joined to its
     members' vertices; from then on the composite taxon stands for that
     vertex.  The class holding all but at most one taxon closes the tree.
+    A class vertex may end up beside one of its own color; the tree is only
+    encoded, and merging such an edge changes no median's color.
     """
-    names = tmap.taxa.names
-    n = len(names)
+    names, reduced = tmap.taxa.names, tmap
     vertex_of = {name: i for i, name in enumerate(names)}
-    # (child, parent) pairs; each vertex's edge to its parent comes after
-    # the edges below it.
+    fresh = (f"@{k}" for k in count(1) if f"@{k}" not in tmap.taxa)
     edges: list[tuple[int, int]] = []
     colors: dict[int, str] = {}
     while True:
-        mergeable = equivalence_classes(tmap).nontrivial()
+        mergeable = equivalence_classes(reduced).nontrivial()
         if not mergeable:
             raise NotAMetricError("no pair of taxa merges, so the map encodes no tree")
         members, symbol = min(mergeable)
-        hub = n + len(colors)
+        hub = len(names) + len(colors)
         colors[hub] = symbol
-        if len(members) >= len(tmap.taxa) - 1:
-            edges.extend((vertex_of[t], hub) for t in tmap.taxa.names)
+        if len(members) >= len(reduced.taxa) - 1:
+            edges.extend((vertex_of[t], hub) for t in reduced.taxa.names)
             break
-        contraction = contract_class(tmap, members, symbol, f"@{len(colors)}")
+        contraction = contract_class(reduced, members, symbol, next(fresh))
         if on_step is not None:
             on_step(contraction)
         edges.extend((vertex_of[t], hub) for t in members)
         vertex_of[contraction.new_taxon] = hub
-        tmap = contraction.reduced
-
-    # A class vertex with a parent of its own color is that parent: it kept
-    # neighbors besides the class, survived the reduction and met the
-    # composite again.  Merge the two, parents first.
-    merged_into: dict[int, int] = {}
-    kept = []
-    for child, parent in reversed(edges):
-        parent = merged_into.get(parent, parent)
-        if colors.get(child) == colors[parent]:
-            merged_into[child] = parent
-            del colors[child]
-        else:
-            kept.append((child, parent))
-    return ColoredTree(kept, dict(enumerate(names)), colors)
+        reduced = contraction.reduced
+    encoded = ColoredTree(edges, dict(enumerate(names)), colors).encode()
+    if encoded != tmap:
+        pairs = zip(encoded.entries(), tmap.entries())
+        tri, got, want = next((t, g, w) for (t, g), (_, w) in pairs if g != w)
+        raise NotAMetricError(
+            f"no tree encodes this map: the candidate tree gives {got} on "
+            f"{' '.join(tri)} where the map gives {want}"
+        )
 
 
 def _split(group: list[int], value: list[list[int]], color: int) -> list[list[int]]:
@@ -314,22 +309,14 @@ def reconstruct_tree(
 ) -> ColoredTree:
     """The discriminating colored tree whose encoding is the given map.
 
-    Raises NotAMetricError when no such tree exists.  ``on_step`` observes
-    each contraction of the bottom-up route, in order; passing it selects
-    that route.  Either way the result is discriminating by construction,
-    certified against the map, and numbered alike: leaf i carries the i-th
-    taxon in sorted order, and interior vertices count up from n in the
+    Raises NotAMetricError when no such tree exists, with the bottom-up
+    route's reason.  ``on_step`` observes each contraction of that route, in
+    order; passing it runs the route on accepted maps too.  The result is
+    always the accept route's tree, numbered so that leaf i carries the i-th
+    taxon in sorted order and interior vertices count up from n in the
     order write_newick prints them.
     """
-    tree = certified_tree(tmap) if on_step is None else None
-    if tree is None:
-        tree = _grow(tmap, on_step)
-        encoded = tree.encode()
-        if encoded != tmap:
-            pairs = zip(encoded.entries(), tmap.entries())
-            tri, got, want = next((t, g, w) for (t, g), (_, w) in pairs if g != w)
-            raise NotAMetricError(
-                f"no tree encodes this map: the candidate tree gives {got} on "
-                f"{' '.join(tri)} where the map gives {want}"
-            )
+    tree = certified_tree(tmap)
+    if tree is None or on_step is not None:
+        _grow(tmap, on_step)
     return _renumbered(tree)

@@ -19,6 +19,7 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
 from .core import SymbolAlphabet, TaxonSet, TernaryMap, _require_distinct, check_identifier
+from .core import _RESERVED_CHARS
 from .quartets import Quartet, QuartetSystem
 
 __all__ = [
@@ -315,9 +316,8 @@ def trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
 
 # -- Newick dialect ----------------------------------------------------------
 
-_NAME_STOP = frozenset("(),;:#")
 # A name, any other character, or the end; group 1 starts past the whitespace.
-_TOKEN = re.compile(r"\s*([^\s(),;:#]+|.|\Z)", re.S)
+_TOKEN = re.compile(rf"\s*([^\s{re.escape(''.join(sorted(_RESERVED_CHARS)))}]+|.|\Z)", re.S)
 
 
 def parse_newick(text: str) -> ColoredTree:
@@ -341,7 +341,7 @@ def parse_newick(text: str) -> ColoredTree:
             raise NewickParseError("unexpected end of input", pos)
         if tok == ":":
             raise NewickParseError("branch lengths are not supported", pos)
-        if tok in _NAME_STOP:
+        if tok in _RESERVED_CHARS:
             raise NewickParseError(f"unexpected character {tok!r}", pos)
         leaves.append((tok, pos, parent))
         tok, pos = next(tokens)
@@ -354,7 +354,7 @@ def parse_newick(text: str) -> ColoredTree:
             vertex = inner[open_groups.pop()]
             tok, pos = next(tokens)
             vertex[2] = pos
-            if tok and tok not in _NAME_STOP:
+            if tok and tok not in _RESERVED_CHARS:
                 vertex[1] = tok
                 tok, pos = next(tokens)
         if not open_groups:

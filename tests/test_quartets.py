@@ -97,6 +97,14 @@ class TestResolvedQuartet:
         with pytest.raises(ValueError):
             resolved_quartet(tmap, ("t1", "t2", "t4", "t5"), "t5")
 
+    def test_rejects_an_unknown_taxon_inside_the_4_subset(self, two_cycle):
+        with pytest.raises(UnknownTaxonError, match="unknown taxon 'nope'"):
+            resolved_quartet(two_cycle, ("u", "w", "x", "nope"), "z")
+
+    def test_rejects_a_repeated_taxon(self, two_cycle):
+        with pytest.raises(ValueError, match="expected four distinct taxa"):
+            resolved_quartet(two_cycle, ("u", "w", "x", "x"), "z")
+
 
 class TestGeneration:
     def test_caterpillar_quartets(self, caterpillar):

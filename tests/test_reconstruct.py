@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from tritree import (
+    ColoredTree,
     NotAMetricError,
     SymbolAlphabet,
     TaxonSet,
@@ -31,6 +32,13 @@ def map_over(symbols: str, values: str, n: int = 5):
     taxa = TaxonSet(tuple(f"t{i + 1}" for i in range(n)))
     alphabet = SymbolAlphabet(frozenset(symbols))
     return build_ternary(taxa, alphabet, dict(zip(taxa.triples(), values)))
+
+
+def tree_with_taxon_at1():
+    """A 7-taxon tree with a taxon named @1, which only the text readers reserve."""
+    parsed = parse_newick("(((t5,t7)b,t4)a,(t2,t3)a,t1,t6)b;")
+    leaves = {v: "@1" if t == "t3" else t for v, t in parsed.leaf_taxa.items()}
+    return ColoredTree(parsed.edges, leaves, parsed.colors)
 
 
 class TestMergeSymbol:
@@ -155,6 +163,21 @@ class TestReconstruct:
         reconstruct_tree(star5.encode(), on_step=steps.append)
         assert steps == []
 
+    def test_composite_names_skip_an_input_taxon_on_a_traced_encoding(self):
+        tree = tree_with_taxon_at1()
+        steps = []
+        rebuilt = reconstruct_tree(tree.encode(), on_step=steps.append)
+        assert trees_isomorphic(rebuilt, tree)
+        assert [s.new_taxon for s in steps] == ["@2", "@3", "@4"]
+
+    def test_composite_names_skip_an_input_taxon_on_a_rejected_map(self):
+        tree = tree_with_taxon_at1()
+        values = dict(tree.encode().entries())
+        values[("t1", "t4", "t5")] = "b"
+        flipped = build_ternary(tree.taxa, SymbolAlphabet(frozenset("ab")), values)
+        with pytest.raises(NotAMetricError):
+            reconstruct_tree(flipped)
+
     def test_two_cycle_is_rejected(self, two_cycle):
         with pytest.raises(NotAMetricError, match="no pair of taxa merges"):
             reconstruct_tree(two_cycle)
@@ -199,7 +222,7 @@ class TestReconstruct:
 
 
 def bottom_up(tmap):
-    """The tree of the explain route, which observing the steps selects; None on rejection."""
+    """The tree of a traced run, which also runs the explain route; None on rejection."""
     try:
         return reconstruct_tree(tmap, on_step=lambda step: None)
     except NotAMetricError:
@@ -265,9 +288,9 @@ class TestTopDown:
             assert trees_isomorphic(rebuilt, tree)
 
     def test_both_routes_give_one_tree_on_the_corpus(self):
-        # Certifying cannot catch a class vertex left beside a parent of its
-        # own color: contracting that edge changes no median's color.  Every
-        # fourth tree keeps this quick and still meets 45 such vertices.
+        # Pins that traced and plain runs return one tree; a traced run also
+        # grows the bottom-up candidate, which must encode the map.  Every
+        # fourth tree keeps this quick.
         for _, tmap in helpers.encoded_corpus(6)[::4]:
             fast = reconstruct_tree(tmap)
             slow = reconstruct_tree(tmap, on_step=lambda step: None)

@@ -91,6 +91,18 @@ class TestValidation:
                 {3: "no good"},
                 "whitespace",
             ),
+            (
+                [(0, 3), (1, 3), (2, 3)],
+                {"0": "x", 1: "y", 2: "z"},
+                {3: "a"},
+                "must be integers, got '0'",
+            ),
+            (
+                [(0, 3), (1, 3), (2, 3)],
+                {0: "x", 1: "y", 2: "z"},
+                {"3": "a"},
+                "must be integers, got '3'",
+            ),
             pytest.param(
                 [(i, len(MANY_LEAVES)) for i in range(len(MANY_LEAVES))],
                 dict(enumerate(MANY_LEAVES)),
@@ -230,6 +242,7 @@ PARSE_ERRORS = [
     ("(x,y,z;", "expected ',' or '\\)'", 6),
     ("(x,y,z)a:1;", "branch lengths", 8),
     ("(x:0.5,y,z)a;", "branch lengths", 2),
+    ("(:1,a,b)c;", "branch lengths", 1),
     ("((x,y),z,w)a;", "needs a color label", 6),
     ("(x,y,z);", "root needs a color label", 7),
     ("(x,,z)a;", "unexpected character ','", 3),
