@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable
 
-from .core import TernaryMap
+from .core import TaxonSet, TernaryMap
 from .quartets import _quads, _resolution, _through
 from .reconstruct import certified_tree
 from .tree import ColoredTree, _quad_medians
@@ -97,6 +97,12 @@ def _violation(condition: str, tmap: TernaryMap, at: list[int]) -> Violation:
     return Violation(condition, profile.subset, "values " + profile.describe())
 
 
+def _star(taxa: TaxonSet, at: tuple[int, ...], value: str) -> Violation:
+    """The resolver check's line for the constant 4-subset at these positions."""
+    where = "with no resolving taxon" if len(taxa) > 4 else "and no taxa outside the 4-subset"
+    return Violation("*", tuple(taxa.names[p] for p in at), f"constant value {value} {where}")
+
+
 def check_condition3(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Violation, ...]:
     """4-subsets whose inner values are neither constant nor split 2-2."""
     found = []
@@ -141,13 +147,11 @@ def check_star(
     4-subset check the two readings agree.
     """
     found = []
-    names, n = tmap.taxa.names, len(tmap.taxa)
-    where = "with no resolving taxon" if n > 4 else "and no taxa outside the 4-subset"
     rows: list[list[int]] = []
     for i, j, k, l, a, b, c, d in _quads(tmap):
         if not a == b == c == d:
             continue
-        rows = rows or [tmap._row(e) for e in range(n)]
+        rows = rows or [tmap._row(e) for e in range(len(tmap.taxa))]
         # The rows of i, j, k and l read a and -1 three times each: no test passes.
         sixes = map(_through(tmap.taxa, i, j, k, l), rows)
         if strict:
@@ -159,8 +163,7 @@ def check_star(
                 for six in sixes
             )
         if not resolved:
-            quad = (names[i], names[j], names[k], names[l])
-            found.append(Violation("*", quad, f"constant value {tmap._symbols[a]} {where}"))
+            found.append(_star(tmap.taxa, (i, j, k, l), tmap._symbols[a]))
             if fail_fast:
                 break
     return tuple(found)
@@ -208,13 +211,10 @@ def _unresolved_stars(tree: ColoredTree, fail_fast: bool) -> tuple[Violation, ..
     That median has degree 4 or more, so a binary tree has none."""
     if tree.is_binary():
         return ()
-    names = tree.taxa.names
-    where = "with no resolving taxon" if len(names) > 4 else "and no taxa outside the 4-subset"
     found = []
-    for i, j, k, l, ijk, ijl, ikl in _quad_medians(tree._lca_table()):
-        if ijk == ijl == ikl:
-            quad = (names[i], names[j], names[k], names[l])
-            found.append(Violation("*", quad, f"constant value {tree.colors[ijk]} {where}"))
+    for i, j, k, l, side, ijk in _quad_medians(tree._lca_table()):
+        if side is None:
+            found.append(_star(tree.taxa, (i, j, k, l), tree.colors[ijk]))
             if fail_fast:
                 break
     return tuple(found)

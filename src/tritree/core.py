@@ -327,8 +327,8 @@ class TernaryMap:
     #   x1 x2 y a        <- one line per 3-subset, taxa in any order
     #
     # '#' starts a comment, blank lines are skipped, encoding is UTF-8 with
-    # '\n' line ends.  Taxon names starting with '@' are reserved for the
-    # composite taxa that reconstruction introduces.
+    # '\n' line ends.  This reader and parse_newick refuse taxon names starting
+    # with '@', the prefix of reconstruction's composite taxa; library maps may use it.
 
     def to_table_text(self) -> str:
         names, n = self.taxa.names, len(self.taxa)

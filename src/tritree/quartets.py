@@ -52,8 +52,8 @@ class Quartet:
         b = tuple(sorted(self.second))
         if a > b:
             a, b = b, a
-        if len({*a, *b}) != 4:
-            raise ValueError(f"a quartet needs four distinct taxa, got {a + b}")
+        if (len(a), len(b), len({*a, *b})) != (2, 2, 4):
+            raise ValueError(f"a quartet needs four distinct taxa in two pairs, got {a} | {b}")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
 

@@ -15,12 +15,12 @@ artifact of rooting an edge and is suppressed on input.
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .core import SymbolAlphabet, TaxonSet, TernaryMap, _require_distinct, check_identifier
 from .core import _RESERVED_CHARS
-from .quartets import Quartet, QuartetSystem
+from .quartets import Quartet, QuartetSystem, pairings
 
 __all__ = [
     "ColoredTree",
@@ -215,21 +215,18 @@ class ColoredTree:
         from median(a, c, d).
         """
         names = self.taxa.names
-        members = []
-        for i, j, k, l, abc, abd, acd in _quad_medians(self._lca_table()):
-            a, b, c, d = names[i], names[j], names[k], names[l]
-            if abc == abd != acd:
-                members.append(Quartet.of(a, b, c, d))
-            elif abc == acd != abd:
-                members.append(Quartet.of(a, c, b, d))
-            elif abd == acd != abc:
-                members.append(Quartet.of(a, d, b, c))
+        members = [
+            Quartet(*pairings(names[i], names[j], names[k], names[l])[side])
+            for i, j, k, l, side, _ in _quad_medians(self._lca_table())
+            if side is not None
+        ]
         return QuartetSystem(self.taxa, members)
 
     # -- comparison ----------------------------------------------------------
 
     def canonical_form(self) -> tuple:
-        """A value equal across exactly the isomorphic colored trees on these taxa."""
+        """A value equal across exactly the isomorphic colored trees on these
+        taxa: the smallest taxon and the write_newick text (see canonical_code)."""
         return canonical_code(self._adj, self.leaf_taxa, self.colors)
 
     def __repr__(self) -> str:
@@ -254,11 +251,11 @@ def _median_colors(lca: list[list[int]], colors: Mapping[int, str]) -> Iterator[
             yield colors[_deepest(ij, row_i[k], row_j[k])]
 
 
-def _quad_medians(lca: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Each 4-subset i < j < k < l of positions in combinations order, with the
-    medians of its triples ijk, ijl and ikl, from a table of pairwise LCAs.
-    The four medians of a 4-subset are one vertex or two vertices taken twice
-    each, so these three decide which."""
+def _quad_medians(lca: list[list[int]]) -> Iterator[tuple]:
+    """Each 4-subset i < j < k < l of positions in combinations order, from a
+    table of pairwise LCAs, with the index in quartets.pairings of the split it
+    displays (None when all four triples share one median) and the median of
+    ijk.  The medians of ijk, ijl and ikl decide the split."""
     n = len(lca)
     for i, j in combinations(range(n), 2):
         ri, rj = lca[i], lca[j]
@@ -266,7 +263,9 @@ def _quad_medians(lca: list[list[int]]) -> Iterator[tuple[int, ...]]:
             rk = lca[k]
             ijk = _deepest(ri[j], ri[k], rj[k])
             for l in range(k + 1, n):
-                yield i, j, k, l, ijk, _deepest(ri[j], ri[l], rj[l]), _deepest(ri[k], ri[l], rk[l])
+                ijl, ikl = _deepest(ri[j], ri[l], rj[l]), _deepest(ri[k], ri[l], rk[l])
+                side = (None if ijl == ikl else 0) if ijk == ijl else 1 if ijk == ikl else 2
+                yield i, j, k, l, side, ijk
 
 
 def _breadth_first(
@@ -288,25 +287,13 @@ def canonical_code(
     leaf_names: Mapping[int, str],
     colors: Mapping[int, str] | None = None,
 ) -> tuple:
-    """Canonical rooted code of a leaf-labeled tree, rooted at the smallest taxon.
-
-    With ``colors`` the code separates trees up to colored isomorphism; without
-    it, up to plain leaf-labeled isomorphism.  The code is a flat tuple of
-    strings, with ")" closing each interior vertex's children, so comparing it
-    needs no recursion at any depth.
-    """
-    root_leaf = min(leaf_names, key=leaf_names.__getitem__)
-    (neighbor,) = tuple(adj[root_leaf])
-    order, parent = _breadth_first(adj, root_leaf)
-    code: dict[int, tuple[str, ...]] = {}
-    for v in reversed(order):
-        if v in leaf_names:
-            code[v] = ("0leaf", leaf_names[v])
-            continue
-        mark = "1int" if colors is None else "1int:" + colors[v]
-        kids = sorted(code.pop(u) for u in adj[v] if u != parent[v])
-        code[v] = (mark, *chain.from_iterable(kids), ")")
-    return (leaf_names[root_leaf], *code[neighbor])
+    """Canonical code of a leaf-labeled tree: its smallest taxon and the
+    sorted-children text write_newick prints (the rooted AHU form).  While no
+    name holds a reserved Newick character, it is equal for exactly the
+    isomorphic trees, colored ones when ``colors`` is given.  Two strings
+    compare and hash without recursion at any depth."""
+    root, text = _rendered(adj, leaf_names, colors or {})
+    return min(leaf_names.values()), text[root]
 
 
 def trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
@@ -397,18 +384,21 @@ def parse_newick(text: str) -> ColoredTree:
     return ColoredTree(edges, {leaf_id[name]: name for name in names}, colors)
 
 
-def _rendered(tree: ColoredTree) -> tuple[int, dict[int, str]]:
+def _rendered(
+    adj: Mapping[int, Iterable[int]], leaf_names: Mapping[int, str], colors: Mapping[int, str]
+) -> tuple[int, dict[int, str]]:
     """The interior neighbor of the smallest taxon, and the Newick text of
-    every subtree when the tree is rooted there."""
-    (root,) = tree.neighbors(tree.leaf_for(tree.taxa.names[0]))
-    order, parent = _breadth_first(tree._adj, root)
+    every subtree when the tree is rooted there, children sorted by their text.
+    An interior vertex missing from ``colors`` gets an empty label."""
+    (root,) = adj[min(leaf_names, key=leaf_names.__getitem__)]
+    order, parent = _breadth_first(adj, root)
     text: dict[int, str] = {}
     for v in reversed(order):
-        if v in tree.leaf_taxa:
-            text[v] = tree.leaf_taxa[v]
+        if v in leaf_names:
+            text[v] = leaf_names[v]
             continue
-        parts = sorted(text[u] for u in tree.neighbors(v) if u != parent[v])
-        text[v] = "(" + ",".join(parts) + ")" + tree.colors[v]
+        parts = sorted(text[u] for u in adj[v] if u != parent[v])
+        text[v] = "(" + ",".join(parts) + ")" + colors.get(v, "")
     return root, text
 
 
@@ -418,23 +408,21 @@ def write_newick(tree: ColoredTree) -> str:
     Children are ordered by their rendered text, so equal trees print
     identically.
     """
-    root, text = _rendered(tree)
+    root, text = _rendered(tree._adj, tree.leaf_taxa, tree.colors)
     return text[root] + ";"
 
 
 def _renumbered(tree: ColoredTree) -> ColoredTree:
     """The tree with interior vertices numbered from the leaf count up, in the
     order write_newick prints them.  Leaf ids must be 0 .. n-1 and stay."""
-    root, text = _rendered(tree)
-    first = len(tree.leaf_taxa)
-    new_id: dict[int, int] = {}
+    root, text = _rendered(tree._adj, tree.leaf_taxa, tree.colors)
+    new_id = {v: v for v in tree.leaf_taxa}
     stack = [root]
     while stack:
         v = stack.pop()
-        new_id[v] = first + len(new_id)
-        kids = [u for u in tree.neighbors(v) if u in tree.colors and u not in new_id]
+        new_id[v] = len(new_id)
+        kids = [u for u in tree.neighbors(v) if u not in new_id]
         stack.extend(sorted(kids, key=text.__getitem__, reverse=True))
-    new_id.update((v, v) for v in tree.leaf_taxa)
     return ColoredTree(
         [(new_id[u], new_id[v]) for u, v in tree.edges],
         tree.leaf_taxa,

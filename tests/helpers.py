@@ -11,12 +11,14 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 from tritree import (
     ColoredTree,
     MetricReport,
     SymbolAlphabet,
+    TaxonSet,
     TernaryMap,
     enumerate_colorings,
     enumerate_trees,
@@ -136,6 +138,16 @@ def random_encodings_and_perturbations(seed: int, count: int, max_n: int = 14):
         yield tmap
         yield perturbed(rng, tmap, 1, symbols)
         yield perturbed(rng, tmap, 2, symbols)
+
+
+def all_maps(n: int, symbols):
+    """Every map on t1..tn over the symbols: one per tuple of values for the
+    3-subsets in combinations order, in product order."""
+    taxa = TaxonSet(tuple(f"t{i + 1}" for i in range(n)))
+    alphabet = SymbolAlphabet(frozenset(symbols))
+    triples = tuple(taxa.triples())
+    for values in product(symbols, repeat=len(triples)):
+        yield TernaryMap(taxa, alphabet, dict(zip(triples, values)))
 
 
 def metric_by_scans(tmap: TernaryMap) -> bool:

@@ -8,7 +8,6 @@ helpers.colored_trees).
 """
 
 import time
-from itertools import product
 
 import pytest
 
@@ -16,10 +15,7 @@ from tritree import (
     K5Type,
     NotAMetricError,
     Quartet,
-    SymbolAlphabet,
-    TaxonSet,
     brute_force_reconstruct,
-    build_ternary,
     check_condition3,
     check_condition4,
     check_star,
@@ -137,16 +133,12 @@ def test_criterion_8_non_thin_witness_is_found_quickly(acceptance):
 
 def test_criterion_9_acceptance_equals_image_on_four_taxa(acceptance):
     with acceptance(9, "accepted 4-taxon maps are exactly the tree encodings"):
-        taxa = TaxonSet(("t1", "t2", "t3", "t4"))
-        alphabet = SymbolAlphabet(frozenset(("a", "b")))
-        triples = tuple(taxa.triples())
         accepted = set()
-        for values in product(("a", "b"), repeat=4):
-            tmap = build_ternary(taxa, alphabet, dict(zip(triples, values)))
+        for tmap in helpers.all_maps(4, ("a", "b")):
             if verify_metric(tmap).is_metric:
                 accepted.add(tmap)
         image = set()
-        for topology in enumerate_trees(4, taxa.names).topologies:
+        for topology in enumerate_trees(4).topologies:
             for coloring in enumerate_colorings(topology, ("a", "b")):
                 image.add(topology.with_colors(coloring).encode())
         assert accepted == image

@@ -1,6 +1,6 @@
 """Condition checks, the resolver check, reports, and K5 classification."""
 
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -34,14 +34,6 @@ def lopsided_map(caterpillar_map):
     values = dict(caterpillar_map.entries())
     values[("t1", "t2", "t3")] = "c"
     return build_ternary(caterpillar_map.taxa, caterpillar_map.alphabet, values)
-
-
-def all_two_symbol_maps(n):
-    taxa = TaxonSet(tuple(f"t{i + 1}" for i in range(n)))
-    alphabet = SymbolAlphabet(frozenset(("a", "b")))
-    triples = tuple(taxa.triples())
-    for values in product(("a", "b"), repeat=len(triples)):
-        yield build_ternary(taxa, alphabet, dict(zip(triples, values)))
 
 
 class TestPartitionProfile:
@@ -114,9 +106,20 @@ class TestStarCheck:
             "COND * SUBSET t1 t2 t3 t4 DETAIL constant value a and no taxa outside the 4-subset"
         )
 
+    def test_loose_reading_needs_a_4_6_split(self):
+        # e shows the values y and z beside the constant x of a b c d, yet the
+        # ten values on a b c d e split 4-2-4, so neither reading finds a resolver.
+        values = dict.fromkeys(combinations("abcd", 3), "x")
+        for pair, value in zip(("ab", "cd", "ac", "bd", "ad", "bc"), "yyzzzz"):
+            values[(*pair, "e")] = value
+        tmap = build_ternary(TaxonSet(tuple("abcde")), SymbolAlphabet(frozenset("xyz")), values)
+        want = ["COND * SUBSET a b c d DETAIL constant value x with no resolving taxon"]
+        assert [v.line for v in check_star(tmap, strict=True)] == want
+        assert [v.line for v in check_star(tmap, strict=False)] == want
+
     def test_strict_and_loose_agree_when_4_subsets_pass(self):
         # Exhaustive over all 1024 two-symbol maps on five taxa.
-        for tmap in all_two_symbol_maps(5):
+        for tmap in helpers.all_maps(5, "ab"):
             if check_condition3(tmap):
                 continue
             strict = {v.subset for v in check_star(tmap, strict=True)}
@@ -160,7 +163,7 @@ class TestCertifyThenExplain:
     """verify_metric's certified route against the reference scans."""
 
     def test_agrees_with_the_scans_on_all_two_symbol_5_taxon_maps(self):
-        for tmap in all_two_symbol_maps(5):
+        for tmap in helpers.all_maps(5, "ab"):
             for options in helpers.VERIFY_OPTIONS:
                 want = helpers.scan_report(tmap, **options)
                 assert verify_metric(tmap, **options) == want, tmap.to_table_text()

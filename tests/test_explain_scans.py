@@ -5,7 +5,7 @@ helpers they replaced, on every input the same violations, classes and
 error texts."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -61,15 +61,15 @@ def assert_same_explanations(tmap, resolvers=True):
 
 
 def five_taxon_map(symbols, index):
-    """The index-th map on t1..t5 over symbols, in product order."""
+    """The index-th map of helpers.all_maps(5, symbols), for sampling."""
     taxa = TaxonSet(("t1", "t2", "t3", "t4", "t5"))
     values = [symbols[index // len(symbols) ** p % len(symbols)] for p in range(9, -1, -1)]
     return TernaryMap(taxa, SymbolAlphabet(frozenset(symbols)), dict(zip(taxa.triples(), values)))
 
 
 def test_all_two_symbol_5_taxon_maps():
-    for index in range(2**10):
-        assert_same_explanations(five_taxon_map("ab", index))
+    for tmap in helpers.all_maps(5, "ab"):
+        assert_same_explanations(tmap)
 
 
 def test_sampled_three_symbol_5_taxon_maps():
@@ -84,7 +84,5 @@ def test_random_encodings_and_perturbations():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_maps_without_4_subsets_or_outside_taxa(n):
-    taxa = TaxonSet(tuple(f"t{i + 1}" for i in range(n)))
-    alphabet = SymbolAlphabet(frozenset("abc"))
-    for values in product("abc", repeat=len(tuple(taxa.triples()))):
-        assert_same_explanations(TernaryMap(taxa, alphabet, dict(zip(taxa.triples(), values))))
+    for tmap in helpers.all_maps(n, "abc"):
+        assert_same_explanations(tmap)

@@ -44,6 +44,13 @@ class TestQuartet:
         with pytest.raises(ValueError, match="four distinct taxa"):
             Quartet.of("p", "q", "p", "r")
 
+    @pytest.mark.parametrize(
+        "first, second", [(("a", "b", "c"), ("d",)), (("a",), ("b", "c", "d"))]
+    )
+    def test_sides_must_be_pairs(self, first, second):
+        with pytest.raises(ValueError, match="four distinct taxa"):
+            Quartet(first, second)
+
     def test_pairings_lists_all_three(self):
         assert pairings("a", "b", "c", "d") == (
             (("a", "b"), ("c", "d")),

@@ -1,7 +1,6 @@
 """Merging, contraction, and the top-down and bottom-up reconstructions."""
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given
@@ -11,7 +10,6 @@ from tritree import (
     NotAMetricError,
     SymbolAlphabet,
     TaxonSet,
-    TernaryMap,
     build_ternary,
     contract_class,
     equivalence_classes,
@@ -184,11 +182,7 @@ class TestReconstruct:
 
     def test_agreement_with_verification_on_all_small_maps(self):
         # Exhaustive over the 16 two-symbol maps on four taxa.
-        taxa = TaxonSet(("t1", "t2", "t3", "t4"))
-        alphabet = SymbolAlphabet(frozenset("ab"))
-        triples = tuple(taxa.triples())
-        for values in product("ab", repeat=4):
-            tmap = build_ternary(taxa, alphabet, dict(zip(triples, values)))
+        for tmap in helpers.all_maps(4, "ab"):
             try:
                 tree = reconstruct_tree(tmap)
             except NotAMetricError:
@@ -241,23 +235,15 @@ class TestTopDown:
                 assert trees_isomorphic(rebuilt, tree)
 
     def test_agrees_with_bottom_up_on_all_two_symbol_5_taxon_maps(self):
-        taxa = TaxonSet(("t1", "t2", "t3", "t4", "t5"))
-        alphabet = SymbolAlphabet(frozenset("ab"))
-        triples = tuple(taxa.triples())
-        for values in product("ab", repeat=10):
-            tmap = TernaryMap(taxa, alphabet, dict(zip(triples, values)))
+        for tmap in helpers.all_maps(5, "ab"):
             fast, slow = certified_tree(tmap), bottom_up(tmap)
             assert (fast is None) == (slow is None), tmap.to_table_text()
             if fast is not None:
                 assert trees_isomorphic(fast, slow)
 
     def test_accepts_exactly_the_metric_three_symbol_5_taxon_maps(self):
-        taxa = TaxonSet(("t1", "t2", "t3", "t4", "t5"))
-        alphabet = SymbolAlphabet(frozenset("abc"))
-        triples = tuple(taxa.triples())
         accepted = 0
-        for values in product("abc", repeat=10):
-            tmap = TernaryMap(taxa, alphabet, dict(zip(triples, values)))
+        for tmap in helpers.all_maps(5, "abc"):
             fast = certified_tree(tmap)
             assert (fast is not None) == helpers.metric_by_scans(tmap), tmap.to_table_text()
             if fast is not None:

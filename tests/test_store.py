@@ -52,12 +52,10 @@ def agree(tmap: TernaryMap, ref: DictMap) -> None:
 
 
 def five_taxon_maps():
-    taxa = TaxonSet(("t1", "t2", "t3", "t4", "t5"))
-    triples = tuple(taxa.triples())
-    alphabet = SymbolAlphabet(("a", "b"))
-    for values in product("ab", repeat=len(triples)):
-        pairs = tuple(zip(triples, values))
-        yield build_ternary(taxa, alphabet, dict(pairs)), DictMap(taxa.names, pairs)
+    """Every two-symbol map on t1..t5, each with a reference built from its values."""
+    triples = tuple(combinations(("t1", "t2", "t3", "t4", "t5"), 3))
+    for tmap, values in zip(helpers.all_maps(5, "ab"), product("ab", repeat=len(triples))):
+        yield tmap, DictMap(tmap.taxa.names, zip(triples, values))
 
 
 def random_maps():

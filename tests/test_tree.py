@@ -1,5 +1,6 @@
 """Colored trees: validation, medians, encoding, Newick, and isomorphism."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -9,13 +10,17 @@ from tritree import (
     ColoredTree,
     NewickParseError,
     TreeValidationError,
+    canonical_code,
+    enumerate_trees,
     parse_newick,
     to_dot,
     trees_isomorphic,
     write_newick,
 )
+from tritree.oracle import _insertions, _shape_adjacency, _shapes
 
 import helpers
+import reference_canonical
 import strategies
 
 # 8 000 leaves under one hub, each of 2 000 names four times: the duplicate
@@ -234,6 +239,51 @@ class TestIsomorphism:
 
     def test_shape_matters(self, cherry_tree, star5):
         assert not trees_isomorphic(cherry_tree, star5)
+
+
+def shuffled(rng, adj, leaf_names, colors=None):
+    """The same tree under a random renumbering of its vertices, with every
+    neighbor list in random order."""
+    ids = list(adj)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    moved = {new[v]: rng.sample([new[u] for u in nbrs], len(nbrs)) for v, nbrs in adj.items()}
+    names = {new[v]: name for v, name in leaf_names.items()}
+    return moved, names, None if colors is None else {new[v]: c for v, c in colors.items()}
+
+
+class TestCanonicalCode:
+    """canonical_code against the frozen tuple code it replaced: the two must
+    split trees into the same classes, that is, map one-to-one."""
+
+    @staticmethod
+    def assert_same_partition(cases, rng):
+        cases = [c for case in cases for c in (case, shuffled(rng, *case))]
+        pairs = {(reference_canonical.canonical_code(*c), canonical_code(*c)) for c in cases}
+        assert len({old for old, _ in pairs}) == len(pairs) == len({new for _, new in pairs})
+        return len(pairs)
+
+    def test_all_topologies_on_3_to_7_leaves_uncolored(self):
+        cases = []
+        for n in range(3, 8):
+            labels = {i: f"t{i + 1}" for i in range(n)}
+            grown = _shapes(3) if n == 3 else [
+                edges for shape in _shapes(n - 1) for edges in _insertions(shape, n - 1)
+            ]
+            cases += [(_shape_adjacency(edges), labels) for edges in grown]
+            cases += [(t.adjacency(), dict(t.leaf_taxa)) for t in enumerate_trees(n).topologies]
+        assert self.assert_same_partition(cases, random.Random(3)) == 1 + 4 + 26 + 236 + 2752
+
+    def test_colored_corpus_on_4_to_6_leaves(self):
+        trees = [tree for n in (4, 5, 6) for tree in helpers.colored_trees(n)]
+        cases = [(tree._adj, tree.leaf_taxa, tree.colors) for tree in trees]
+        assert self.assert_same_partition(cases, random.Random(4)) == len(trees)
+
+    def test_seeded_random_trees_up_to_30_leaves(self):
+        rng = random.Random(30)
+        trees = [helpers.random_tree(rng, rng.randint(4, 30)) for _ in range(300)]
+        cases = [(tree._adj, tree.leaf_taxa, tree.colors) for tree in trees]
+        cases += [(tree._adj, tree.leaf_taxa) for tree in trees]
+        self.assert_same_partition(cases, rng)
 
 
 PARSE_ERRORS = [
