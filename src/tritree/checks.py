@@ -16,9 +16,9 @@ maps encoded by binary trees.
 
 verify_metric accepts in O(n^3): a map passes both subset checks exactly when
 reconstruct.certified_tree finds its tree, whose star 4-subsets are then the
-resolver check's failures.  The scans explain rejections.  They walk sorted
-positions over the map's code array and name taxa only in a Violation; their
-name-based reference copies are in tests/reference_scans.py.
+resolver check's failures.  The scans explain rejections: on sorted positions
+they read 4-subsets from TernaryMap._quads and a fifth taxon's codes from its
+_row, and name taxa only in a Violation; tests/reference_scans.py has name-based copies.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .core import TaxonSet, TernaryMap
-from .quartets import _quads, _resolution, _through
+from .quartets import _resolution, _through
 from .reconstruct import certified_tree
 from .tree import ColoredTree, _quad_medians
 
@@ -106,7 +106,7 @@ def _star(taxa: TaxonSet, at: tuple[int, ...], value: str) -> Violation:
 def check_condition3(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Violation, ...]:
     """4-subsets whose inner values are neither constant nor split 2-2."""
     found = []
-    for i, j, k, l, a, b, c, d in _quads(tmap):
+    for i, j, k, l, a, b, c, d in tmap._quads():
         if a == b and c == d or a == c and b == d or a == d and b == c:
             continue
         found.append(_violation("3", tmap, [i, j, k, l]))
@@ -118,16 +118,15 @@ def check_condition3(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Viol
 def check_condition4(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Violation, ...]:
     """5-subsets whose ten inner values split 5-5."""
     found = []
-    codes, (first, second), n = tmap._codes, tmap.taxa._ranks, len(tmap.taxa)
-    for i, j, k, l, a, b, c, d in _quads(tmap):
+    n = len(tmap.taxa)
+    rows: list[list[int]] = []
+    for i, j, k, l, a, b, c, d in tmap._quads():
         four = (a, b, c, d)
         if l + 1 == n or len(set(four)) > 2:
             continue
         need = 5 - four.count(a)  # a 5-5 split holds the code a of i j k five times
-        fi, fj, fk, gl = first[i], first[j], first[k], second[l]
-        runs = (fi + second[j], fi + second[k], fi + gl, fj + second[k], fj + gl, fk + gl)
-        # The codes of i j m, i k m, i l m, j k m, j l m and k l m for each m > l.
-        sixes = zip(*[codes[r + l + 1 : r + n] for r in runs])
+        rows = rows or [[]] * 4 + [tmap._row(m) for m in range(4, n)]  # as m > l >= 3
+        sixes = map(_through(tmap.taxa, i, j, k, l), rows[l + 1 :])
         for m, six in enumerate(sixes, l + 1):
             if six.count(a) == need and len(set(six).union(four)) == 2:
                 found.append(_violation("4", tmap, [i, j, k, l, m]))
@@ -148,7 +147,7 @@ def check_star(
     """
     found = []
     rows: list[list[int]] = []
-    for i, j, k, l, a, b, c, d in _quads(tmap):
+    for i, j, k, l, a, b, c, d in tmap._quads():
         if not a == b == c == d:
             continue
         rows = rows or [tmap._row(e) for e in range(len(tmap.taxa))]
@@ -220,10 +219,10 @@ def _unresolved_stars(tree: ColoredTree, fail_fast: bool) -> tuple[Violation, ..
     return tuple(found)
 
 
-def is_binary_encodable(tmap: TernaryMap, *, strict_star: bool = True) -> bool:
-    """True when the map passes all checks including the resolver check."""
-    report = verify_metric(tmap, include_star=True, strict_star=strict_star)
-    return report.is_metric and not report.star_violations
+def is_binary_encodable(tmap: TernaryMap) -> bool:
+    """True when the map encodes a binary tree, so passes every check; O(n^3)."""
+    tree = certified_tree(tmap)
+    return tree is not None and tree.is_binary()
 
 
 class K5Type(Enum):

@@ -2,11 +2,11 @@
 
 A ternary map assigns one symbol to every 3-subset of a taxon set.  It keeps
 one small integer code per 3-subset in one array, in ``combinations`` order of
-the sorted taxa, so symmetry in the three arguments holds by construction and
-names appear only in entries, lookups, the table text and diagnostics.
-Looking a value up with a repeated argument never touches the store: it
-returns the ``NON_EVENT`` sentinel, which is deliberately not a string and
-therefore can never collide with an alphabet symbol.
+the sorted taxa, so symmetry holds by construction and names appear only in
+entries, lookups, the table text and diagnostics.  Only this module knows that
+layout; others read it through _rank, _row and _quads.  Looking a value up
+with a repeated argument never touches the store: it returns the ``NON_EVENT``
+sentinel, which is not a string and so can never be an alphabet symbol.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -85,6 +85,8 @@ class TaxonSet:
     _ranks: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in filter(lambda name: not isinstance(name, str), self.names):
+            check_identifier(name, "taxon name")  # raises here, as sorting would raise a TypeError
         ordered = tuple(sorted(self.names))
         _require_distinct(ordered)
         if len(ordered) < 3:
@@ -281,6 +283,17 @@ class TernaryMap:
         row += [-1] * (n - 1 - x)
         # The 3-subsets x < u < v open the last C(n - x, 3), those of positions x and up.
         return row + codes[len(codes) - comb(n - x, 3) : len(codes) - comb(n - x - 1, 3)].tolist()
+
+    def _quads(self) -> Iterator[tuple[int, ...]]:
+        """(i, j, k, l, ijk, ijl, ikl, jkl) for every 4-subset of positions
+        i < j < k < l in combinations order, with the codes of its four 3-subsets."""
+        codes, (first, second), n = self._codes, self.taxa._ranks, len(self.taxa)
+        for i, j, k in combinations(range(n - 1), 3):
+            ij, ik, jk = first[i] + second[j], first[i] + second[k], first[j] + second[k]
+            yield from zip(
+                repeat(i), repeat(j), repeat(k), range(k + 1, n), repeat(codes[ij + k]),
+                codes[ij + k + 1 : ij + n], codes[ik + k + 1 : ik + n], codes[jk + k + 1 : jk + n],
+            )
 
     def triples(self) -> Iterator[tuple[str, str, str]]:
         return self.taxa.triples()

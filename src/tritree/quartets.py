@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -121,18 +121,6 @@ class QuartetSystem:
         return "".join(f"{q}\n" for q in self)
 
 
-def _quads(tmap: TernaryMap) -> Iterator[tuple[int, ...]]:
-    """(i, j, k, l, ijk, ijl, ikl, jkl) for every 4-subset of positions
-    i < j < k < l in combinations order, with the codes of its four 3-subsets."""
-    codes, (first, second), n = tmap._codes, tmap.taxa._ranks, len(tmap.taxa)
-    for i, j, k in combinations(range(n - 1), 3):
-        ij, ik, jk = first[i] + second[j], first[i] + second[k], first[j] + second[k]
-        yield from zip(
-            repeat(i), repeat(j), repeat(k), range(k + 1, n), repeat(codes[ij + k]),
-            codes[ij + k + 1 : ij + n], codes[ik + k + 1 : ik + n], codes[jk + k + 1 : jk + n],
-        )
-
-
 def _through(taxa: TaxonSet, i: int, j: int, k: int, l: int) -> itemgetter:
     """Reads the codes with pairs ij, kl, ik, jl, il and jk from a taxon's row."""
     pair = taxa._pair
@@ -193,7 +181,7 @@ def _scan_quartets(tmap: TernaryMap) -> QuartetSystem:
     names, n = tmap.taxa.names, len(tmap.taxa)
     rows = [tmap._row(e) for e in range(n)]
     found: set[Quartet] = set()
-    for i, j, k, l, a, b, c, d in _quads(tmap):
+    for i, j, k, l, a, b, c, d in tmap._quads():
         if a == b == c == d:
             # The rows of i, j, k and l resolve nothing (see check_star).
             sixes = map(_through(tmap.taxa, i, j, k, l), rows)

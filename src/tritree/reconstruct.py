@@ -268,8 +268,7 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
     n = len(names)
     value = [[0] * n for _ in range(n)]  # map codes
     lca = [[0] * n for _ in range(n)]
-    # The 3-subsets through position 0 come first in the map's codes.
-    for (i, j), c in zip(combinations(range(1, n), 2), tmap._codes):
+    for (i, j), c in zip(combinations(range(n), 2), tmap._row(0)):
         value[i][j] = value[j][i] = c
     edges: list[tuple[int, int]] = []
     colors: dict[int, int] = {}

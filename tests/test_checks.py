@@ -198,6 +198,18 @@ class TestBinaryEncodable:
     def test_non_metric_is_not(self, two_cycle):
         assert not is_binary_encodable(two_cycle)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_agrees_with_the_scans_under_either_reading(self, strict):
+        maps = [
+            *helpers.all_maps(5, "ab"),
+            *helpers.all_maps(4, "abc"),
+            *helpers.random_encodings_and_perturbations(seed=11, count=20),
+        ]
+        for tmap in maps:
+            full = helpers.scan_report(tmap, include_star=True, strict_star=strict)
+            want = full.is_metric and not full.star_violations
+            assert is_binary_encodable(tmap) == want, tmap.to_table_text()
+
 
 class TestClassifyK5:
     def test_all_five_shapes(self, caterpillar, cherry_tree, star5, two_cycle):

@@ -5,7 +5,6 @@ from itertools import permutations, product
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from tritree import (
     NON_EVENT,
@@ -71,6 +70,11 @@ class TestTaxonSet:
     def test_rejects_unprintable_names(self, bad):
         with pytest.raises(ValueError):
             TaxonSet((bad, "b", "c"))
+
+    def test_rejects_a_name_that_is_no_string(self):
+        # Checked before sorting, which would raise a TypeError on mixed types.
+        with pytest.raises(ValueError, match=exactly("taxon name must be a non-empty string, got 1")):
+            TaxonSet(("b", 1, "a"))
 
     def test_membership_and_iteration(self):
         taxa = TaxonSet(("x", "y", "z"))

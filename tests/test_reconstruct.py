@@ -290,3 +290,16 @@ class TestTopDown:
         # Interior vertices count up from n in the order write_newick prints them.
         assert write_newick(fast) == "(((((t2,t5)b,t8)a,(t4,t6)a)c,t3)b,t1,t7)a;"
         assert [fast.colors[v] for v in sorted(fast.colors)] == ["a", "b", "c", "a", "b", "a"]
+
+    def test_newick_reader_numbers_vertices_as_reconstruct_does(self):
+        # The reader numbers interior vertices as their '(' opens; reconstruct
+        # numbers them in the order the Newick text lists them: one rule.
+        rng = random.Random(11)
+        trees = [tree for n in (4, 5, 6) for tree in helpers.colored_trees(n)]
+        trees += [helpers.random_tree(rng, rng.randint(4, 30)) for _ in range(300)]
+        for tree in trees:
+            built = reconstruct_tree(tree.encode())
+            read = parse_newick(write_newick(built))
+            assert (read.edges, read.colors, read.leaf_taxa) == (
+                built.edges, built.colors, built.leaf_taxa
+            ), write_newick(built)

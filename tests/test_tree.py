@@ -108,6 +108,12 @@ class TestValidation:
                 {"3": "a"},
                 "must be integers, got '3'",
             ),
+            (
+                [(0, 3), (1, 3), (2, 3)],
+                {0: 1, 1: "b", 2: "c"},
+                {3: "x"},
+                "taxon name must be a non-empty string, got 1",
+            ),
             pytest.param(
                 [(i, len(MANY_LEAVES)) for i in range(len(MANY_LEAVES))],
                 dict(enumerate(MANY_LEAVES)),
