@@ -26,13 +26,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable
 
 from .core import TaxonSet, TernaryMap
 from .quartets import _resolution, _through
 from .reconstruct import certified_tree
-from .tree import ColoredTree, _quad_medians
+from .tree import ColoredTree
 
 __all__ = [
     "K5Type",
@@ -206,17 +206,19 @@ def verify_metric(
 
 def _unresolved_stars(tree: ColoredTree, fail_fast: bool) -> tuple[Violation, ...]:
     """check_star's lines for the tree's encoding, under either reading: the
-    4-subsets whose triples all share one median, in combinations order.
-    That median has degree 4 or more, so a binary tree has none."""
-    if tree.is_binary():
-        return ()
-    found = []
-    for i, j, k, l, side, ijk in _quad_medians(tree._lca_table()):
-        if side is None:
-            found.append(_star(tree.taxa, (i, j, k, l), tree.colors[ijk]))
-            if fail_fast:
-                break
-    return tuple(found)
+    4-subsets with their leaves in four branches of one vertex, which is the
+    median of all their triples, in combinations order."""
+    if fail_fast:  # the least, over the vertices, of their four smallest branch minima
+        firsts = ((*sorted(map(min, ps))[:4], v) for v, ps in tree._branches() if len(ps) > 3)
+        found = sorted(firsts)[:1]
+    else:
+        found = sorted(
+            (*sorted(leaves), v)
+            for v, ps in tree._branches()
+            for four in combinations(ps, 4)
+            for leaves in product(*four)
+        )
+    return tuple(_star(tree.taxa, (i, j, k, l), tree.colors[v]) for i, j, k, l, v in found)
 
 
 def is_binary_encodable(tmap: TernaryMap) -> bool:

@@ -68,7 +68,10 @@ def check_identifier(name: str, kind: str) -> None:
 
 
 def _require_distinct(names: Sequence[str], error: type[ValueError] = ValueError) -> None:
-    """Raise error naming, once each and sorted, every name listed twice or more."""
+    """Raise error for the first name that is no string, else naming, once
+    each and sorted, every name listed twice or more."""
+    for name in filter(lambda name: not isinstance(name, str), names):
+        raise error(f"taxon name must be a non-empty string, got {name!r}")
     if len(set(names)) != len(names):
         dupes = sorted(name for name, count in Counter(names).items() if count > 1)
         raise error(f"duplicate taxon names: {' '.join(dupes)}")
@@ -85,10 +88,8 @@ class TaxonSet:
     _ranks: tuple[list[int], list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in filter(lambda name: not isinstance(name, str), self.names):
-            check_identifier(name, "taxon name")  # raises here, as sorting would raise a TypeError
+        _require_distinct(self.names)  # first, as sorting would raise a TypeError on a non-string
         ordered = tuple(sorted(self.names))
-        _require_distinct(ordered)
         if len(ordered) < 3:
             raise ValueError(f"a taxon set needs at least three taxa, got {len(ordered)}")
         for name in ordered:

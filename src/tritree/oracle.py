@@ -117,10 +117,9 @@ def enumerate_trees(n: int, taxa: tuple[str, ...] | None = None) -> TreeEnumerat
         raise ValueError(f"enumeration supports 3 to 7 leaves, got {n}")
     if taxa is None:
         taxa = tuple(f"t{i + 1}" for i in range(n))
-    names = tuple(sorted(taxa))
-    if len(names) != n or len(set(names)) != n:
+    if len(taxa) != n or not all(isinstance(t, str) for t in taxa) or len(set(taxa)) != n:
         raise ValueError(f"expected {n} distinct taxa, got {taxa!r}")
-    return _enumerate_trees_cached(n, names)
+    return _enumerate_trees_cached(n, tuple(sorted(taxa)))
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +199,8 @@ def find_nonthin_witness(
     survivor of a fast 4-subset screen is tested in full.  The search is
     symmetric under renaming taxa and symbols, so pinning loses no witness.
     """
-    names = tuple(sorted(taxa if taxa is not None else ("a1", "a2", "b1", "b2", "c1", "c2")))
-    if len(names) != 6 or len(set(names)) != 6:
+    names = taxa if taxa is not None else ("a1", "a2", "b1", "b2", "c1", "c2")
+    if len(names) != 6 or not all(isinstance(t, str) for t in names) or len(set(names)) != 6:
         raise ValueError("the search needs exactly six distinct taxa")
     palette = tuple(sorted(set(symbols)))
     if len(palette) != 2:
@@ -218,8 +217,8 @@ def find_nonthin_witness(
             return None
         return tmap
 
-    pinned_a = tuple(combinations((names[0], names[1], names[2], names[3]), 3))
-    pinned_b = tuple(combinations((names[0], names[1], names[4], names[5]), 3))
+    pinned_a = tuple(combinations(taxon_set.names[:4], 3))
+    pinned_b = tuple(combinations(taxon_set.names[:2] + taxon_set.names[4:], 3))
     loose = tuple(t for t in taxon_set.triples() if t not in pinned_a + pinned_b)
     for value_a, value_b in product(palette, repeat=2):
         base = {**dict.fromkeys(pinned_a, value_a), **dict.fromkeys(pinned_b, value_b)}

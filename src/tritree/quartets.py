@@ -87,10 +87,10 @@ class QuartetSystem:
     __slots__ = ("taxa", "members")
 
     def __init__(self, taxa: TaxonSet, members: Iterable[Quartet]) -> None:
-        self.taxa = taxa
+        self.taxa, members = taxa, list(members)
+        for q in members:  # in input order, so the first unknown taxon named is the same every run
+            taxa.require(*q.first, *q.second)
         self.members = frozenset(members)
-        for q in self.members:
-            taxa.require(*q.support)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .core import SymbolAlphabet, TaxonSet, TernaryMap, _require_distinct, check_identifier
 from .core import _RESERVED_CHARS
-from .quartets import Quartet, QuartetSystem, pairings
+from .quartets import Quartet, QuartetSystem
 
 __all__ = [
     "ColoredTree",
@@ -169,9 +169,24 @@ class ColoredTree:
 
     # -- medians and encoding ----------------------------------------------
 
+    def _branches(self) -> Iterator[tuple[int, list[list[int]]]]:
+        """Each interior vertex, children before parents with the tree rooted
+        at the leaf of the smallest taxon, and the taxon positions in each of
+        its branches: one per child, then the remaining taxa last."""
+        n = len(self.taxa)
+        order, parent = _breadth_first(self._adj, self._leaf_of[self.taxa.names[0]])
+        below: dict[int, list[int]] = {}
+        for v in reversed(order[1:]):
+            if v in self.leaf_taxa:
+                below[v] = [self.taxa.index(self.leaf_taxa[v])]
+                continue
+            parts = [below.pop(u) for u in self._adj[v] if u != parent[v]]
+            below[v] = inside = [i for part in parts for i in part]
+            yield v, parts + [sorted(set(range(n)).difference(inside))]
+
     def _lca_table(self) -> list[list[int]]:
-        """Lowest common ancestors of leaf pairs, indexed by taxon position,
-        with the tree rooted at the leaf of the smallest taxon.
+        """Lowest common ancestors of leaf pairs, indexed by taxon position, in
+        the rooting of _branches: a pair meets where two child branches hold it.
 
         Whatever the root, the median of three leaves is the deepest of their
         three pairwise LCAs: two of them coincide and the third is that
@@ -181,18 +196,11 @@ class ColoredTree:
             n = len(self.taxa)
             root = self._leaf_of[self.taxa.names[0]]
             self._lca = table = [[root] * n for _ in range(n)]
-            order, parent = _breadth_first(self._adj, root)
-            below: dict[int, list[int]] = {}
-            for v in reversed(order[1:]):
-                if v in self.leaf_taxa:
-                    below[v] = [self.taxa.index(self.leaf_taxa[v])]
-                    continue
-                parts = [below.pop(u) for u in self._adj[v] if u != parent[v]]
-                for a, b in combinations(parts, 2):
+            for v, parts in self._branches():
+                for a, b in combinations(parts[:-1], 2):
                     for i in a:
                         for j in b:
                             table[i][j] = table[j][i] = v
-                below[v] = [i for part in parts for i in part]
         return self._lca
 
     def median(self, x: str, y: str, z: str) -> int:
@@ -211,14 +219,18 @@ class ColoredTree:
     def displayed_quartets(self) -> QuartetSystem:
         """Quartets a b | c d whose two pair paths share no vertex.
 
-        That holds exactly when median(a, b, c) = median(a, b, d) differs
-        from median(a, c, d).
+        That holds exactly when some vertex has a and b in one branch and c
+        and d in two others.  Two vertices qualify, one per pair; the quartet
+        is listed at the one whose shared branch holds the smallest taxon.
         """
         names = self.taxa.names
         members = [
-            Quartet(*pairings(names[i], names[j], names[k], names[l])[side])
-            for i, j, k, l, side, _ in _quad_medians(self._lca_table())
-            if side is not None
+            Quartet((names[a], names[b]), (names[c], names[d]))
+            for _, parts in self._branches()
+            for p, part in enumerate(parts)
+            for a, b in combinations(sorted(part), 2)
+            for q, r in combinations(parts[:p] + parts[p + 1 :], 2)
+            for c in q if c > a for d in r if d > a
         ]
         return QuartetSystem(self.taxa, members)
 
@@ -249,23 +261,6 @@ def _median_colors(lca: list[list[int]], colors: Mapping[int, str]) -> Iterator[
         ij = row_i[j]
         for k in range(j + 1, n):
             yield colors[_deepest(ij, row_i[k], row_j[k])]
-
-
-def _quad_medians(lca: list[list[int]]) -> Iterator[tuple]:
-    """Each 4-subset i < j < k < l of positions in combinations order, from a
-    table of pairwise LCAs, with the index in quartets.pairings of the split it
-    displays (None when all four triples share one median) and the median of
-    ijk.  The medians of ijk, ijl and ikl decide the split."""
-    n = len(lca)
-    for i, j in combinations(range(n), 2):
-        ri, rj = lca[i], lca[j]
-        for k in range(j + 1, n):
-            rk = lca[k]
-            ijk = _deepest(ri[j], ri[k], rj[k])
-            for l in range(k + 1, n):
-                ijl, ikl = _deepest(ri[j], ri[l], rj[l]), _deepest(ri[k], ri[l], rk[l])
-                side = (None if ijl == ikl else 0) if ijk == ijl else 1 if ijk == ikl else 2
-                yield i, j, k, l, side, ijk
 
 
 def _breadth_first(

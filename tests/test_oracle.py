@@ -57,6 +57,10 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="distinct taxa"):
             enumerate_trees(4, ("a", "a", "b", "c"))
 
+    def test_rejects_a_taxon_that_is_no_string(self):
+        with pytest.raises(ValueError, match=r"^expected 4 distinct taxa, got \('a', 'b', 'c', 1\)$"):
+            enumerate_trees(4, ("a", "b", "c", 1))
+
 
 class TestColorings:
     def test_star_topology_has_one_choice_per_symbol(self):
@@ -110,3 +114,7 @@ class TestWitnessSearch:
             find_nonthin_witness(("x1", "x2", "x3", "x4", "x5"))
         with pytest.raises(ValueError, match="two symbols"):
             find_nonthin_witness(symbols=("a", "a"))
+
+    def test_rejects_a_taxon_that_is_no_string(self):
+        with pytest.raises(ValueError, match="^the search needs exactly six distinct taxa$"):
+            find_nonthin_witness(("a", "b", "c", "d", "e", 1))

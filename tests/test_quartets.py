@@ -83,6 +83,18 @@ class TestQuartetSystem:
         with pytest.raises(UnknownTaxonError):
             QuartetSystem(taxa, [Quartet.of("p", "q", "r", "z")])
 
+    def test_unknown_taxon_error_ignores_the_hash_seed(self):
+        code = (
+            "from tritree import Quartet, QuartetSystem, TaxonSet\n"
+            "QuartetSystem(TaxonSet(('a', 'b', 'c', 'd')), [Quartet(('a', 'b'), ('x', 'y'))])\n"
+        )
+        errors = set()
+        for seed in ("2", "4"):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setenv("PYTHONHASHSEED", seed)
+                errors.add(helpers.run_python("-c", code).stderr.splitlines()[-1])
+        assert errors == {"tritree.core.UnknownTaxonError: unknown taxon 'x'"}
+
 
 class TestResolvedQuartet:
     def test_resolver_splits_a_constant_4_subset(self):

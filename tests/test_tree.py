@@ -11,16 +11,19 @@ from tritree import (
     NewickParseError,
     TreeValidationError,
     canonical_code,
+    enumerate_colorings,
     enumerate_trees,
     parse_newick,
     to_dot,
     trees_isomorphic,
     write_newick,
 )
+from tritree.checks import _unresolved_stars
 from tritree.oracle import _insertions, _shape_adjacency, _shapes
 
 import helpers
 import reference_canonical
+import reference_medians
 import strategies
 
 # 8 000 leaves under one hub, each of 2 000 names four times: the duplicate
@@ -113,6 +116,12 @@ class TestValidation:
                 {0: 1, 1: "b", 2: "c"},
                 {3: "x"},
                 "taxon name must be a non-empty string, got 1",
+            ),
+            (
+                [(0, 3), (1, 3), (2, 3)],
+                {0: 1, 1: 1, 2: "c"},
+                {3: "x"},
+                "^taxon name must be a non-empty string, got 1$",
             ),
             pytest.param(
                 [(i, len(MANY_LEAVES)) for i in range(len(MANY_LEAVES))],
@@ -219,6 +228,78 @@ class TestMedianAndEncoding:
             "t1 t2 | t4 t5",
         ]
         assert len(star5.displayed_quartets()) == 0
+
+
+def forced_polytomy(rng, degree: int, n: int) -> ColoredTree:
+    """A tree on t1..tn, names shuffled over the leaves, with a hub of exactly
+    the given degree: every later leaf splits an edge, or (three times in ten)
+    joins another interior vertex, which may then be a polytomy too."""
+    edges = [(leaf, n) for leaf in range(degree)]
+    interior = [n]
+    for leaf in range(degree, n):
+        if len(interior) > 1 and rng.random() < 0.3:
+            edges.append((leaf, rng.choice(interior[1:])))
+        else:
+            u, v = edges.pop(rng.randrange(len(edges)))
+            interior.append(n + len(interior))
+            edges += [(u, interior[-1]), (v, interior[-1]), (leaf, interior[-1])]
+    names = rng.sample([f"t{i + 1}" for i in range(n)], n)
+    colors = {v: rng.choice(helpers.PALETTE) for v in interior}
+    return ColoredTree(edges, dict(enumerate(names)), colors)
+
+
+class TestBranchWalk:
+    """displayed_quartets and the star lines, read from each vertex's
+    branches, against the frozen sweep over every 4-subset's medians."""
+
+    @staticmethod
+    def assert_as_reference(trees):
+        for tree in trees:
+            # Equal members print the same text: to_text sorts them.
+            assert tree.displayed_quartets() == reference_medians.displayed_quartets(tree)
+            for fail_fast in (False, True):
+                expected = reference_medians.unresolved_stars(tree, fail_fast)
+                assert _unresolved_stars(tree, fail_fast) == expected
+
+    def test_every_topology_on_3_to_7_leaves(self):
+        topologies = [t for n in range(3, 8) for t in enumerate_trees(n).topologies]
+        assert len(topologies) == 3019
+        self.assert_as_reference(
+            t.with_colors(next(enumerate_colorings(t, helpers.PALETTE))) for t in topologies
+        )
+
+    def test_corpus_on_4_to_6_leaves(self):
+        self.assert_as_reference(t for n in (4, 5, 6) for t in helpers.colored_trees(n))
+
+    def test_random_trees(self):
+        rng = random.Random(12)
+        self.assert_as_reference(helpers.random_tree(rng, rng.randint(4, 30)) for _ in range(300))
+
+    @pytest.mark.parametrize("degree", range(4, 9))
+    def test_forced_polytomies(self, degree):
+        rng = random.Random(degree)
+        trees = [forced_polytomy(rng, degree, rng.randint(degree, 24)) for _ in range(40)]
+        assert all(max(map(t.degree, t.colors)) >= degree for t in trees)
+        self.assert_as_reference(trees)
+
+    @pytest.mark.parametrize(
+        "text, first",
+        [
+            # The walk meets a first, at the far end from t1; b holds the smallest star.
+            ("((t1,t2,t3,t4)b,t5,t6,t7,t8)a;", "t1 t2 t3 t4 DETAIL constant value b"),
+            ("((t5,t6,t7,t8)b,t1,t2,t3,t4)a;", "t1 t2 t3 t4 DETAIL constant value a"),
+            ("(((t6,t7,t8,t9)b,t5)c,t3,t2,(t1,t4)c)a;", "t1 t2 t3 t5 DETAIL constant value a"),
+            # Six branches at a, t1's last: the four smallest minima, not the first four.
+            ("((t1,t9)c,(t2,t8)b,(t6,t7)c,t5,t3,t4)a;", "t1 t2 t3 t4 DETAIL constant value a"),
+            ("((t2,t9)c,(t1,t8)b,(t6,t7)c,t5,t3,t4)a;", "t1 t2 t3 t4 DETAIL constant value a"),
+        ],
+    )
+    def test_fail_fast_takes_the_least_star_over_all_vertices(self, text, first):
+        tree = parse_newick(text)
+        (star,) = _unresolved_stars(tree, True)
+        assert star.line == f"COND * SUBSET {first} with no resolving taxon"
+        assert (star,) == reference_medians.unresolved_stars(tree, True)
+        assert _unresolved_stars(tree, False)[0] == star
 
 
 class TestIsomorphism:
