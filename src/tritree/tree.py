@@ -173,7 +173,7 @@ class ColoredTree:
         """Each interior vertex, children before parents with the tree rooted
         at the leaf of the smallest taxon, and the taxon positions in each of
         its branches: one per child, then the remaining taxa last."""
-        n = len(self.taxa)
+        everyone = set(range(len(self.taxa)))
         order, parent = _breadth_first(self._adj, self._leaf_of[self.taxa.names[0]])
         below: dict[int, list[int]] = {}
         for v in reversed(order[1:]):
@@ -182,7 +182,7 @@ class ColoredTree:
                 continue
             parts = [below.pop(u) for u in self._adj[v] if u != parent[v]]
             below[v] = inside = [i for part in parts for i in part]
-            yield v, parts + [sorted(set(range(n)).difference(inside))]
+            yield v, parts + [sorted(everyone.difference(inside))]
 
     def _lca_table(self) -> list[list[int]]:
         """Lowest common ancestors of leaf pairs, indexed by taxon position, in
