@@ -115,11 +115,10 @@ def enumerate_trees(n: int, taxa: tuple[str, ...] | None = None) -> TreeEnumerat
     """
     if not 3 <= n <= 7:
         raise ValueError(f"enumeration supports 3 to 7 leaves, got {n}")
-    if taxa is None:
-        taxa = tuple(f"t{i + 1}" for i in range(n))
-    if len(taxa) != n or not all(isinstance(t, str) for t in taxa) or len(set(taxa)) != n:
+    names = tuple(f"t{i + 1}" for i in range(n)) if taxa is None else tuple(taxa)
+    if len(names) != n or not all(isinstance(t, str) for t in names) or len(set(names)) != n:
         raise ValueError(f"expected {n} distinct taxa, got {taxa!r}")
-    return _enumerate_trees_cached(n, tuple(sorted(taxa)))
+    return _enumerate_trees_cached(n, tuple(sorted(names)))
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +198,7 @@ def find_nonthin_witness(
     survivor of a fast 4-subset screen is tested in full.  The search is
     symmetric under renaming taxa and symbols, so pinning loses no witness.
     """
-    names = taxa if taxa is not None else ("a1", "a2", "b1", "b2", "c1", "c2")
+    names = tuple(taxa if taxa is not None else ("a1", "a2", "b1", "b2", "c1", "c2"))
     if len(names) != 6 or not all(isinstance(t, str) for t in names) or len(set(names)) != 6:
         raise ValueError("the search needs exactly six distinct taxa")
     palette = tuple(sorted(set(symbols)))
