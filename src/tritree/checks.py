@@ -208,6 +208,8 @@ def _unresolved_stars(tree: ColoredTree, fail_fast: bool) -> tuple[Violation, ..
     """check_star's lines for the tree's encoding, under either reading: the
     4-subsets with their leaves in four branches of one vertex, which is the
     median of all their triples, in combinations order."""
+    if tree.is_binary():  # no vertex has four branches
+        return ()
     if fail_fast:  # the least, over the vertices, of their four smallest branch minima
         firsts = ((*sorted(map(min, ps))[:4], v) for v, ps in tree._branches() if len(ps) > 3)
         found = sorted(firsts)[:1]

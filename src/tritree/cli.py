@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterable
 
 from .checks import check_condition3, verify_metric
 from .core import (
@@ -22,7 +22,7 @@ from .core import (
     build_ternary,
 )
 from .oracle import enumerate_colorings, enumerate_trees, two_cycle_map
-from .quartets import _scan_quartets
+from .quartets import _scan_quartets, _text_chunks
 from .reconstruct import NotAMetricError, certified_tree, reconstruct_tree
 from .tree import (
     NewickParseError,
@@ -47,12 +47,12 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, chunks: Iterable[str]) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
@@ -64,7 +64,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    _write_text(args.output, tree.encode().to_table_text())
+    _write_text(args.output, [tree.encode().to_table_text()])
     return 0
 
 
@@ -95,17 +95,14 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
     tree = reconstruct_tree(tmap, on_step=trace if args.trace else None)
     text = to_dot(tree) if args.dot else write_newick(tree) + "\n"
-    _write_text(args.output, text)
+    _write_text(args.output, [text])
     return 0
 
 
 def _cmd_quartets(args: argparse.Namespace) -> int:
     tmap = TernaryMap.from_table_text(_read_text(args.table))
     tree = certified_tree(tmap)
-    if tree is not None:
-        _write_text(args.output, tree.displayed_quartets().to_text())
-        return 0
-    violations = check_condition3(tmap)
+    violations = check_condition3(tmap) if tree is None else ()
     if violations:
         for violation in violations:
             print(violation.line, file=sys.stderr)
@@ -114,7 +111,8 @@ def _cmd_quartets(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    _write_text(args.output, _scan_quartets(tmap).to_text())
+    positions = _scan_quartets(tmap) if tree is None else tree._quartet_positions()
+    _write_text(args.output, _text_chunks(tmap.taxa.names, positions))
     return 0
 
 

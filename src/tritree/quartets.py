@@ -12,11 +12,14 @@ A quartet is an unordered split of four taxa into two pairs, written
 
 On a map that encodes a tree these are the tree's displayed quartets, listed
 from the certified tree; the scan over 4-subsets and resolvers runs on other
-maps and is the reference.
+maps and is the reference.  Both routes give each quartet as sorted taxon
+positions; QuartetSystem._of names them, and _text_chunks writes the text of
+`tritree quartets` from them in chunks, with no Quartet per line.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -91,6 +94,13 @@ class QuartetSystem:
         for q in members:  # in input order, so the first unknown taxon named is the same every run
             taxa.require(*q.first, *q.second)
         self.members = frozenset(members)
+
+    @classmethod
+    def _of(cls, taxa: TaxonSet, positions: Iterable[tuple[int, ...]]) -> "QuartetSystem":
+        """The quartets a b | c d at taxon positions (a, b, c, d), with no taxon check."""
+        system, names = cls(taxa, ()), taxa.names
+        system.members = frozenset(Quartet.of(*map(names.__getitem__, p)) for p in positions)
+        return system
 
     def __len__(self) -> int:
         return len(self.members)
@@ -173,27 +183,37 @@ def generate_quartets(tmap: TernaryMap) -> QuartetSystem:
     from .reconstruct import certified_tree  # reconstruct -> tree -> quartets
 
     tree = certified_tree(tmap)
-    return _scan_quartets(tmap) if tree is None else tree.displayed_quartets()
+    positions = _scan_quartets(tmap) if tree is None else tree._quartet_positions()
+    return QuartetSystem._of(tmap.taxa, positions)
 
 
-def _scan_quartets(tmap: TernaryMap) -> QuartetSystem:
-    """generate_quartets by the 4-subset and resolver scan, on any map."""
-    names, n = tmap.taxa.names, len(tmap.taxa)
-    rows = [tmap._row(e) for e in range(n)]
-    found: set[Quartet] = set()
+def _scan_quartets(tmap: TernaryMap) -> Iterator[tuple[int, ...]]:
+    """generate_quartets by the 4-subset and resolver scan, on any map, as the
+    positions (i, j, k, l), (i, k, j, l) or (i, l, j, k) of a 4-subset i < j < k < l."""
+    rows = [tmap._row(e) for e in range(len(tmap.taxa))]
     for i, j, k, l, a, b, c, d in tmap._quads():
+        quads = (i, j, k, l), (i, k, j, l), (i, l, j, k)  # in the order of pairings()
         if a == b == c == d:
             # The rows of i, j, k and l resolve nothing (see check_star).
             sixes = map(_through(tmap.taxa, i, j, k, l), rows)
-            resolved = {_resolution(a, six) for six in sixes} - {None}
+            yield from (quads[p] for p in {_resolution(a, six) for six in sixes} - {None})
         elif a == b and c == d or a == c and b == d or a == d and b == c:
             # The 2-2 split pairs the two taxa omitted by the triples sharing a's value.
-            resolved = {0 if a == b else 1 if a == c else 2}
-        else:
-            continue
-        quad = pairings(names[i], names[j], names[k], names[l])
-        found.update(Quartet(*quad[p]) for p in resolved)
-    return QuartetSystem(tmap.taxa, found)
+            yield quads[0 if a == b else 1 if a == c else 2]
+
+
+def _text_chunks(names: tuple[str, ...], positions: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """QuartetSystem.to_text for positions (a, b, c, d), a the smallest, a < b and c < d,
+    one chunk per a: a's bucket holds each quartet as the integer (b n + c) n + d, so
+    sorted it is in text order, and the text of only one bucket is held at a time."""
+    n, nn = len(names), len(names) ** 2
+    buckets = [array("q") for _ in names]
+    for a, b, c, d in positions:
+        buckets[a].append((b * n + c) * n + d)
+    pairs = [f"{x} {y}\n" for x in names for y in names]
+    for a, bucket in enumerate(buckets):
+        buckets[a], heads = None, [f"{pairs[a * n + b][:-1]} | " for b in range(n)]
+        yield "".join([heads[k // nn] + pairs[k % nn] for k in sorted(bucket)])
 
 
 def non_thin_quadruples(system: QuartetSystem) -> tuple[tuple[str, ...], ...]:

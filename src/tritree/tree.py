@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .core import SymbolAlphabet, TaxonSet, TernaryMap, _require_distinct, check_identifier
 from .core import _RESERVED_CHARS
-from .quartets import Quartet, QuartetSystem
+from .quartets import QuartetSystem
 
 __all__ = [
     "ColoredTree",
@@ -217,22 +217,22 @@ class ColoredTree:
         return TernaryMap._of(self.taxa, alphabet, _median_colors(self._lca_table(), self.colors))
 
     def displayed_quartets(self) -> QuartetSystem:
-        """Quartets a b | c d whose two pair paths share no vertex.
+        """Quartets a b | c d whose two pair paths share no vertex."""
+        return QuartetSystem._of(self.taxa, self._quartet_positions())
 
-        That holds exactly when some vertex has a and b in one branch and c
-        and d in two others.  Two vertices qualify, one per pair; the quartet
-        is listed at the one whose shared branch holds the smallest taxon.
-        """
-        names = self.taxa.names
-        members = [
-            Quartet((names[a], names[b]), (names[c], names[d]))
-            for _, parts in self._branches()
-            for p, part in enumerate(parts)
-            for a, b in combinations(sorted(part), 2)
-            for q, r in combinations(parts[:p] + parts[p + 1 :], 2)
-            for c in q if c > a for d in r if d > a
-        ]
-        return QuartetSystem(self.taxa, members)
+    def _quartet_positions(self) -> Iterator[tuple[int, int, int, int]]:
+        """displayed_quartets as positions (a, b, c, d), a the smallest, a < b and c < d:
+        each once, at the vertex with a and b in one branch and c and d in two others
+        (of the two such vertices, one per pair, the one whose shared branch holds a)."""
+        for _, parts in self._branches():
+            for p, part in enumerate(parts):
+                part, others = sorted(part), parts[:p] + parts[p + 1 :]
+                for x, a in enumerate(part[:-1]):
+                    pairs = combinations([[c for c in o if c > a] for o in others], 2)
+                    cds = [(c, d) if c < d else (d, c) for q, r in pairs for c in q for d in r]
+                    for b in part[x + 1 :]:
+                        for c, d in cds:
+                            yield a, b, c, d
 
     # -- comparison ----------------------------------------------------------
 

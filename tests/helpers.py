@@ -24,6 +24,7 @@ from tritree import (
     enumerate_trees,
 )
 from tritree.oracle import two_cycle_map  # noqa: F401  (re-exported for the fixtures)
+from tritree.quartets import QuartetSystem, _scan_quartets
 
 import reference_scans
 
@@ -120,6 +121,35 @@ def random_tree(rng, n: int, symbols: tuple[str, ...] = PALETTE) -> ColoredTree:
     return ColoredTree(edges, {i: f"t{i + 1}" for i in range(n)}, colors)
 
 
+def forced_polytomy(rng, degree: int, n: int) -> ColoredTree:
+    """A tree on t1..tn, names shuffled over the leaves, with a hub of exactly
+    the given degree: every later leaf splits an edge, or (three times in ten)
+    joins another interior vertex, which may then be a polytomy too."""
+    edges = [(leaf, n) for leaf in range(degree)]
+    interior = [n]
+    for leaf in range(degree, n):
+        if len(interior) > 1 and rng.random() < 0.3:
+            edges.append((leaf, rng.choice(interior[1:])))
+        else:
+            u, v = edges.pop(rng.randrange(len(edges)))
+            interior.append(n + len(interior))
+            edges += [(u, interior[-1]), (v, interior[-1]), (leaf, interior[-1])]
+    names = rng.sample([f"t{i + 1}" for i in range(n)], n)
+    colors = {v: rng.choice(PALETTE) for v in interior}
+    return ColoredTree(edges, dict(enumerate(names)), colors)
+
+
+def caterpillar(n: int, symbols: tuple[str, str] = ("a", "b")) -> ColoredTree:
+    """Binary tree on t1..tn whose interior vertices form a path, colored in
+    turn: t1 and t2 hang off the first, t3 .. t(n-2) one each, the last two
+    off the last.  Sorted names (t1, t10, t11, ...) do not follow the path."""
+    path = [n + i for i in range(n - 2)]
+    edges = list(zip(path, path[1:])) + [(0, path[0]), (n - 1, path[-1])]
+    edges += [(leaf, path[max(leaf - 1, 0)]) for leaf in range(1, n - 1)]
+    colors = {v: symbols[i % 2] for i, v in enumerate(path)}
+    return ColoredTree(edges, {i: f"t{i + 1}" for i in range(n)}, colors)
+
+
 def perturbed(rng, tmap: TernaryMap, flips: int, symbols: tuple[str, ...] = PALETTE) -> TernaryMap:
     """The map with `flips` random triples changed to another symbol."""
     values = dict(tmap.entries())
@@ -148,6 +178,11 @@ def all_maps(n: int, symbols):
     triples = tuple(taxa.triples())
     for values in product(symbols, repeat=len(triples)):
         yield TernaryMap(taxa, alphabet, dict(zip(triples, values)))
+
+
+def scanned_quartets(tmap: TernaryMap) -> QuartetSystem:
+    """generate_quartets by the package's 4-subset and resolver scan alone."""
+    return QuartetSystem._of(tmap.taxa, _scan_quartets(tmap))
 
 
 def metric_by_scans(tmap: TernaryMap) -> bool:

@@ -1,6 +1,7 @@
 """Command line behavior: data on stdout, diagnostics on stderr, stable exits."""
 
 import io
+import random
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from tritree import parse_newick, trees_isomorphic, write_newick
 from tritree.cli import main
+from tritree.quartets import _scan_quartets, _text_chunks
 from tritree.reconstruct import certified_tree
 
 import helpers
@@ -285,6 +287,29 @@ class TestQuartets:
         assert capsys.readouterr().out.count("|") == 5
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "tmap, certified, chunks",
+        [
+            (helpers.cherry5().encode(), True, 1),
+            (helpers.two_cycle_map(), False, 2),
+            (helpers.caterpillar(12).encode(), True, 9),
+        ],
+    )
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys, tmap, certified, chunks):
+        tree = certified_tree(tmap)
+        assert (tree is not None) == certified
+        positions = tree._quartet_positions() if certified else _scan_quartets(tmap)
+        # One chunk of text per taxon that is the smallest of some quartet.
+        assert sum(map(bool, _text_chunks(tmap.taxa.names, positions))) == chunks
+        table, out = tmp_path / "map.table", tmp_path / "quartets.out"
+        table.write_text(tmap.to_table_text(), encoding="utf-8")
+        assert main(["quartets", str(table)]) == 0
+        stdout = capsys.readouterr()
+        assert stdout.out and not stdout.err
+        assert main(["quartets", str(table), "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == stdout.out.encode()
+
     def test_unbalanced_table_exits_1(self, tmp_path, capsys):
         table = tmp_path / "bad.table"
         table.write_text(
@@ -341,6 +366,18 @@ class TestCertifyThenExplain:
         for tmap in tables:
             got = run_on_bytes(argv + ["-"], tmap.to_table_text().encode())
             assert got == by_scans(argv, tmap), tmap.to_table_text()
+
+    def test_quartets_equal_the_reference_scan_on_larger_trees(self):
+        # Polytomies of degree 4 to 8, random trees up to 30 leaves, and a
+        # caterpillar whose sorted names (t1, t10, ...) do not follow its path.
+        rng = random.Random(13)
+        trees = [helpers.forced_polytomy(rng, d, rng.randint(d, 16)) for d in range(4, 9)]
+        trees += [helpers.random_tree(rng, n) for n in (12, 20, 30)]
+        trees.append(helpers.caterpillar(22))
+        for tree in trees:
+            tmap = tree.encode()
+            got = run_on_bytes(["quartets", "-"], tmap.to_table_text().encode())
+            assert got == by_scans(["quartets"], tmap), write_newick(tree)
 
 
 MANGLE_SEEDS = (

@@ -20,7 +20,6 @@ from tritree import (
     partition_profile,
     resolved_quartet,
 )
-from tritree.quartets import _scan_quartets
 
 import helpers
 import reference_scans as ref
@@ -40,7 +39,7 @@ def assert_same_explanations(tmap, resolvers=True):
     for options in helpers.VERIFY_OPTIONS:
         want = helpers.scan_report(tmap, **options)
         assert helpers.scan_report(tmap, scans=tritree.checks, **options) == want, text
-    assert _scan_quartets(tmap) == ref.scan_quartets(tmap), text
+    assert helpers.scanned_quartets(tmap) == ref.scan_quartets(tmap), text
     names = tmap.taxa.names
     for x, y in combinations(names, 2):
         assert outcome(merge_symbol, tmap, x, y) == outcome(ref.merge_symbol, tmap, x, y), text

@@ -230,24 +230,6 @@ class TestMedianAndEncoding:
         assert len(star5.displayed_quartets()) == 0
 
 
-def forced_polytomy(rng, degree: int, n: int) -> ColoredTree:
-    """A tree on t1..tn, names shuffled over the leaves, with a hub of exactly
-    the given degree: every later leaf splits an edge, or (three times in ten)
-    joins another interior vertex, which may then be a polytomy too."""
-    edges = [(leaf, n) for leaf in range(degree)]
-    interior = [n]
-    for leaf in range(degree, n):
-        if len(interior) > 1 and rng.random() < 0.3:
-            edges.append((leaf, rng.choice(interior[1:])))
-        else:
-            u, v = edges.pop(rng.randrange(len(edges)))
-            interior.append(n + len(interior))
-            edges += [(u, interior[-1]), (v, interior[-1]), (leaf, interior[-1])]
-    names = rng.sample([f"t{i + 1}" for i in range(n)], n)
-    colors = {v: rng.choice(helpers.PALETTE) for v in interior}
-    return ColoredTree(edges, dict(enumerate(names)), colors)
-
-
 class TestBranchWalk:
     """displayed_quartets and the star lines, read from each vertex's
     branches, against the frozen sweep over every 4-subset's medians."""
@@ -278,7 +260,7 @@ class TestBranchWalk:
     @pytest.mark.parametrize("degree", range(4, 9))
     def test_forced_polytomies(self, degree):
         rng = random.Random(degree)
-        trees = [forced_polytomy(rng, degree, rng.randint(degree, 24)) for _ in range(40)]
+        trees = [helpers.forced_polytomy(rng, degree, rng.randint(degree, 24)) for _ in range(40)]
         assert all(max(map(t.degree, t.colors)) >= degree for t in trees)
         self.assert_as_reference(trees)
 
