@@ -16,9 +16,12 @@ maps encoded by binary trees.
 
 verify_metric accepts in O(n^3): a map passes both subset checks exactly when
 reconstruct.certified_tree finds its tree, whose star 4-subsets are then the
-resolver check's failures.  The scans explain rejections: on sorted positions
-they read 4-subsets from TernaryMap._quads and a fifth taxon's codes from its
-_row, and name taxa only in a Violation; tests/reference_scans.py has name-based copies.
+resolver check's failures.  A rejected map is explained from the encoding of
+a tree built close to it: every violating subset holds a 3-subset on which
+the two differ, so only the subsets through one are tested, unless the full
+scans cost less.  The scans work on sorted positions: they read 4-subsets
+from TernaryMap._quads and a fifth taxon's codes from its _row, and name taxa
+only in a Violation; tests/reference_scans.py has name-based copies.
 """
 
 from __future__ import annotations
@@ -26,12 +29,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
-from typing import Iterable
+from heapq import merge
+from itertools import combinations, groupby, islice, product
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from .core import TaxonSet, TernaryMap
 from .quartets import _resolution, _through
-from .reconstruct import certified_tree
+from .reconstruct import _top_down, certified_tree
 from .tree import ColoredTree
 
 __all__ = [
@@ -92,9 +97,11 @@ class Violation:
         return f"COND {self.condition} SUBSET {' '.join(self.subset)} DETAIL {self.detail}"
 
 
-def _violation(condition: str, tmap: TernaryMap, at: list[int]) -> Violation:
-    profile = partition_profile(tmap, [tmap.taxa.names[i] for i in at])
-    return Violation(condition, profile.subset, "values " + profile.describe())
+def _violation(condition: str, tmap: TernaryMap, at: Sequence[int]) -> Violation:
+    """The line for the subset at sorted positions; codes sort as their symbols do."""
+    tally = sorted(Counter(tmap._code(*tri) for tri in combinations(at, 3)).items())
+    detail = " ".join(f"{tmap._symbols[c]}={count}" for c, count in tally)
+    return Violation(condition, tuple(tmap.taxa.names[i] for i in at), "values " + detail)
 
 
 def _star(taxa: TaxonSet, at: tuple[int, ...], value: str) -> Violation:
@@ -151,21 +158,23 @@ def check_star(
         if not a == b == c == d:
             continue
         rows = rows or [tmap._row(e) for e in range(len(tmap.taxa))]
-        # The rows of i, j, k and l read a and -1 three times each: no test passes.
-        sixes = map(_through(tmap.taxa, i, j, k, l), rows)
-        if strict:
-            resolved = any(_resolution(a, six) is not None for six in sixes)
-        else:
-            # A 4-6 split: six times one other code, or a twice and another code four times.
-            resolved = any(
-                (count := six.count(a)) in (0, 2) and len(set(six)) == 1 + count // 2
-                for six in sixes
-            )
-        if not resolved:
+        if not _resolved(a, map(_through(tmap.taxa, i, j, k, l), rows), strict):
             found.append(_star(tmap.taxa, (i, j, k, l), tmap._symbols[a]))
             if fail_fast:
                 break
     return tuple(found)
+
+
+def _resolved(a: int, sixes: Iterable[tuple[int, ...]], strict: bool) -> bool:
+    """check_star's test: whether the six codes that _through reads from some
+    taxon's row resolve a constant 4-subset of code a.  The rows of its own
+    four taxa read a and -1 three times each, so they pass neither test."""
+    if strict:
+        return any(_resolution(a, six) is not None for six in sixes)
+    # A 4-6 split: six times one other code, or a twice and another code four times.
+    return any(
+        (count := six.count(a)) in (0, 2) and len(set(six)) == 1 + count // 2 for six in sixes
+    )
 
 
 @dataclass(frozen=True)
@@ -192,16 +201,90 @@ def verify_metric(
     fail_fast: bool = False,
 ) -> MetricReport:
     """Run the 4- and 5-subset checks, and optionally the resolver check;
-    a certified tree answers all three, and the scans run only without one."""
+    a certified tree answers all three.  Without one, the subsets through the
+    mismatches with a nearby encoding answer them, or the full scans do."""
     tree = certified_tree(tmap)
     if tree is not None:
         star = _unresolved_stars(tree, fail_fast) if include_star else ()
         return MetricReport((), include_star, star)
-    violations = check_condition3(tmap, fail_fast=fail_fast)
-    if not (fail_fast and violations):
-        violations += check_condition4(tmap, fail_fast=fail_fast)
-    star = check_star(tmap, strict=strict_star, fail_fast=fail_fast) if include_star else ()
+    near = _near_encoding(tmap)
+    violations = _subset_lines(tmap, near, (4, 5), fail_fast)
+    star = _star_lines(tmap, near, strict_star, fail_fast) if include_star else ()
     return MetricReport(violations, include_star, star)
+
+
+def _near_encoding(tmap: TernaryMap) -> tuple[TernaryMap, list[tuple[int, ...]]] | None:
+    """Of the trees _top_down builds from a few roots, one of which avoids any
+    single changed triple, the encoding that differs from tmap on the fewest
+    3-subsets, and those 3-subsets; None where the full scans cost less."""
+    n, near = len(tmap.taxa), None
+    # Ten codes for each 5-subset through a mismatch, against C(n, 5) in the full scan.
+    cap = comb(n, 5) // max(1, 10 * comb(n - 3, 2))
+    for root in dict.fromkeys((0, n // 3, 2 * n // 3, n - 1)) if cap else ():
+        encoded = _top_down(tmap, root)[2]
+        differ = tmap._mismatches(encoded)
+        if near is None or len(differ) < len(near[1]):
+            near = encoded, differ
+        if len(differ) == 1:
+            break
+    return near if near and len(near[1]) <= cap else None
+
+
+def _holding(differ: list, n: int, size: int, shared: int) -> Iterator[tuple[int, ...]]:
+    """The sets of size positions that share at least `shared` positions with
+    some triple in differ, in combinations order: adding a fixed set to
+    subsets of the others keeps their order, so the streams merge."""
+
+    def around(kept: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        rest = [x for x in range(n) if x not in kept]
+        return (tuple(sorted(kept + more)) for more in combinations(rest, size - shared))
+
+    kept = {kept for tri in differ for kept in combinations(tri, shared)}
+    return (at for at, _ in groupby(merge(*map(around, kept))))
+
+
+def _subset_lines(
+    tmap: TernaryMap, near: tuple | None, sizes: tuple[int, ...], fail_fast: bool = False
+) -> tuple[Violation, ...]:
+    """check_condition3's lines, then check_condition4's if 5 is in sizes: by the
+    full scans without a near encoding, else from the subsets through its
+    mismatches, since an encoding passes both checks."""
+    if near is None:
+        found = check_condition3(tmap, fail_fast=fail_fast)
+        if 5 in sizes and not (fail_fast and found):
+            found += check_condition4(tmap, fail_fast=fail_fast)
+        return found
+
+    def bad(at: tuple[int, ...]) -> bool:  # neither constant nor 2-2, or 5-5
+        tally = sorted(Counter(tmap._code(*tri) for tri in combinations(at, 3)).values())
+        return tally == [5, 5] if len(at) == 5 else tally not in ([4], [2, 2])
+
+    subsets = (at for size in sizes for at in _holding(near[1], len(tmap.taxa), size, 3))
+    lines = (_violation(str(len(at) - 1), tmap, at) for at in subsets if bad(at))  # COND 3, 4
+    return tuple(islice(lines, 1 if fail_fast else None))
+
+
+def _star_lines(
+    tmap: TernaryMap, near: tuple | None, strict: bool, fail_fast: bool
+) -> tuple[Violation, ...]:
+    """check_star's lines: by the full scan without a near encoding.  With one, a
+    4-subset sharing at most one taxon with each mismatch reads the encoding's
+    values inside it and through every outside taxon, so its verdict is the
+    encoding's, read off the encoding's tree; the others are scanned."""
+    if near is None:
+        return check_star(tmap, strict=strict, fail_fast=fail_fast)
+    (encoded, differ), names, rows = near, tmap.taxa.names, []
+    pairs = {(names[p], names[q]) for tri in differ for p, q in combinations(tri, 2)}
+    stars = _unresolved_stars(certified_tree(encoded), False)
+    found = [v for v in stars if pairs.isdisjoint(combinations(v.subset, 2))]
+    for at in _holding(differ, len(names), 4, 2):
+        a, b, c, d = (tmap._code(*tri) for tri in combinations(at, 3))
+        if a == b == c == d:
+            rows = rows or [tmap._row(e) for e in range(len(names))]
+            if not _resolved(a, map(_through(tmap.taxa, *at), rows), strict):
+                found.append(_star(tmap.taxa, at, tmap._symbols[a]))
+    found.sort(key=lambda v: v.subset)  # names sort as their positions do
+    return tuple(found[: 1 if fail_fast else None])
 
 
 def _unresolved_stars(tree: ColoredTree, fail_fast: bool) -> tuple[Violation, ...]:

@@ -13,7 +13,7 @@ import sys
 from itertools import product
 from typing import Callable, Iterable
 
-from .checks import check_condition3, verify_metric
+from .checks import _near_encoding, _subset_lines, verify_metric
 from .core import (
     SymbolAlphabet,
     TableFormatError,
@@ -102,7 +102,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _cmd_quartets(args: argparse.Namespace) -> int:
     tmap = TernaryMap.from_table_text(_read_text(args.table))
     tree = certified_tree(tmap)
-    violations = check_condition3(tmap) if tree is None else ()
+    violations = _subset_lines(tmap, _near_encoding(tmap), (4,)) if tree is None else ()
     if violations:
         for violation in violations:
             print(violation.line, file=sys.stderr)

@@ -4,9 +4,10 @@ A ternary map assigns one symbol to every 3-subset of a taxon set.  It keeps
 one small integer code per 3-subset in one array, in ``combinations`` order of
 the sorted taxa, so symmetry holds by construction and names appear only in
 entries, lookups, the table text and diagnostics.  Only this module knows that
-layout; others read it through _rank, _row and _quads.  Looking a value up
-with a repeated argument never touches the store: it returns the ``NON_EVENT``
-sentinel, which is not a string and so can never be an alphabet symbol.
+layout; others read it through _rank, _code, _row, _quads and _mismatches.
+Looking a value up with a repeated argument never touches the store: it
+returns the ``NON_EVENT`` sentinel, which is not a string and so can never be
+an alphabet symbol.
 """
 
 from __future__ import annotations
@@ -272,6 +273,18 @@ class TernaryMap:
     def triple_value(self, triple: Iterable[str]) -> str:
         """Fast path for three distinct known taxa; no argument checking."""
         return self._symbols[self._codes[self.taxa._rank(*triple)]]
+
+    def _code(self, i: int, j: int, k: int) -> int:
+        """The code of the 3-subset at positions i < j < k."""
+        first, second = self.taxa._ranks
+        return self._codes[first[i] + second[j] + k]
+
+    def _mismatches(self, other: "TernaryMap") -> list[tuple[int, int, int]]:
+        """The positions i < j < k, in combinations order, of the 3-subsets on
+        which a map of the same taxa differs from this one."""
+        mine, theirs = self._symbols, other._symbols
+        codes = zip(combinations(range(len(self.taxa)), 3), self._codes, other._codes)
+        return [tri for tri, a, b in codes if mine[a] != theirs[b]]
 
     def _row(self, x: int) -> list[int]:
         """The codes of the 3-subsets {x, u, v}, one per pair u < v of positions

@@ -255,24 +255,32 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
     """The tree of the accept route, or None when the triples through the
     smallest taxon (position 0) build no tree or it does not encode the map.
     By the paper's characterization it is None exactly when the map fails the
-    4- or 5-subset check.
+    4- or 5-subset check.  A leaf set that does not split leaves a tree whose
+    encoding is some other map, so comparing the encoding settles both."""
+    edges, colored, encoded = _top_down(tmap, 0)
+    return ColoredTree(edges, dict(enumerate(tmap.taxa)), colored) if encoded == tmap else None
+
+
+def _top_down(tmap: TernaryMap, root: int) -> tuple[list, dict[int, str], TernaryMap]:
+    """The edges, vertex colors and encoding of the tree built top-down from the
+    triples through the taxon at position root; a leaf set that no color
+    splits hangs as a star from one vertex.
 
     For leaf set S and x = S[0], the leaves y whose ancestor in common with x
     is highest give the vertex's color.  Ancestors of different colors
     compare exactly (the higher is that of whichever of y and z has with x
     the value y and z have), so the scan keeps every leaf seen at the highest
-    level known.  LCAs are recorded as the tree grows, to certify it before
+    level known.  LCAs are recorded as the tree grows, to encode it before
     any ColoredTree is made.
     """
-    names = tmap.taxa.names
-    n = len(names)
+    n = len(tmap.taxa)
     value = [[0] * n for _ in range(n)]  # map codes
-    lca = [[0] * n for _ in range(n)]
-    for (i, j), c in zip(combinations(range(n), 2), tmap._row(0)):
+    lca = [[root] * n for _ in range(n)]
+    for (i, j), c in zip(combinations(range(n), 2), tmap._row(root)):
         value[i][j] = value[j][i] = c
     edges: list[tuple[int, int]] = []
     colors: dict[int, int] = {}
-    stack = [(list(range(1, n)), 0)]
+    stack = [([x for x in range(n) if x != root], root)]
     while stack:
         group, parent = stack.pop()
         if len(group) == 1:
@@ -288,7 +296,7 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
         color = row[top[0]]
         parts = _split(group, value, color)
         if len(parts) == 1:
-            return None
+            parts = [[x] for x in group]
         vertex = n + len(colors)
         colors[vertex] = color
         edges.append((vertex, parent))
@@ -298,9 +306,7 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
                     lca[x][y] = lca[y][x] = vertex
         stack.extend((part, vertex) for part in parts)
     colored = {v: tmap._symbols[c] for v, c in colors.items()}
-    if TernaryMap._of(tmap.taxa, tmap.alphabet, _median_colors(lca, colored)) != tmap:
-        return None
-    return ColoredTree(edges, dict(enumerate(names)), colored)
+    return edges, colored, TernaryMap._of(tmap.taxa, tmap.alphabet, _median_colors(lca, colored))
 
 
 def reconstruct_tree(

@@ -2,7 +2,8 @@
 copies in reference_scans: the 4-subset, 5-subset and resolver scans, the
 quartet scan, the merge relation and contraction, and the public per-subset
 helpers they replaced, on every input the same violations, classes and
-error texts."""
+error texts.  verify_metric, which scans only around a nearby tree's
+mismatches where that costs less, must report what the scans report."""
 
 import random
 from itertools import combinations
@@ -20,6 +21,7 @@ from tritree import (
     partition_profile,
     resolved_quartet,
 )
+from tritree.cli import main
 
 import helpers
 import reference_scans as ref
@@ -39,6 +41,7 @@ def assert_same_explanations(tmap, resolvers=True):
     for options in helpers.VERIFY_OPTIONS:
         want = helpers.scan_report(tmap, **options)
         assert helpers.scan_report(tmap, scans=tritree.checks, **options) == want, text
+        assert tritree.checks.verify_metric(tmap, **options) == want, text
     assert helpers.scanned_quartets(tmap) == ref.scan_quartets(tmap), text
     names = tmap.taxa.names
     for x, y in combinations(names, 2):
@@ -85,3 +88,88 @@ def test_random_encodings_and_perturbations():
 def test_maps_without_4_subsets_or_outside_taxa(n):
     for tmap in helpers.all_maps(n, "abc"):
         assert_same_explanations(tmap)
+
+
+# verify_metric without a certified tree scans only the subsets through the
+# 3-subsets where the map differs from a nearby tree's encoding, unless the
+# full scans cost less; both routes must print what the full scans print.
+
+
+def flipped_maps():
+    """Seeded random trees on 4 to 30 taxa (every size up to 20), each with one,
+    two and three triples flipped."""
+    rng = random.Random(14)
+    for n in [*range(4, 21), 22, 25, 30]:
+        tmap = helpers.random_tree(rng, n).encode()
+        for flips in (1, 2, 3):
+            yield helpers.perturbed(rng, tmap, flips)
+
+
+def random_maps():
+    """Seeded maps on 6 to 12 taxa with every value drawn from a, b and c."""
+    rng = random.Random(15)
+    for n in range(6, 13):
+        taxa = TaxonSet(tuple(f"t{i + 1}" for i in range(n)))
+        values = {tri: rng.choice("abc") for tri in taxa.triples()}
+        yield TernaryMap(taxa, SymbolAlphabet(frozenset("abc")), values)
+
+
+def assert_verify_equals_the_scans(tmap, scans=ref):
+    for options in helpers.VERIFY_OPTIONS:
+        want = helpers.scan_report(tmap, scans=scans, **options)
+        assert tritree.checks.verify_metric(tmap, **options) == want, tmap.to_table_text()
+
+
+def test_verify_equals_the_scans_on_flipped_maps():
+    # The frozen reference costs seconds per map past 12 taxa; beyond that the
+    # package's full scans stand in, checked against it by the tests above.
+    for tmap in flipped_maps():
+        scans = ref if len(tmap.taxa) <= 12 else tritree.checks
+        assert_verify_equals_the_scans(tmap, scans)
+
+
+def test_verify_equals_the_scans_on_random_maps():
+    for tmap in random_maps():
+        assert_verify_equals_the_scans(tmap)
+    assert_verify_equals_the_scans(helpers.two_cycle_map())
+
+
+def test_quartets_prints_the_4_subset_scan_on_flipped_maps(tmp_path, capsys):
+    path = tmp_path / "flipped.table"
+    for tmap in flipped_maps():
+        path.write_text(tmap.to_table_text(), encoding="utf-8")
+        lines = "".join(v.line + "\n" for v in tritree.checks.check_condition3(tmap))
+        code = main(["quartets", str(path)])
+        out, err = capsys.readouterr()
+        if lines:
+            error = "error: the map fails the 4-subset check, so its quartets are undefined\n"
+            assert (code, out, err) == (1, "", lines + error), tmap.to_table_text()
+        else:
+            assert (code, err) == (0, ""), tmap.to_table_text()
+
+
+class Raised(Exception):
+    pass
+
+
+def refuse(*args, **kwargs):
+    raise Raised
+
+
+def test_a_one_flip_map_takes_the_local_route(monkeypatch):
+    rng = random.Random(3)
+    tmap = helpers.perturbed(rng, helpers.random_tree(rng, 30).encode(), 1)
+    wants = [helpers.scan_report(tmap, scans=tritree.checks, **o) for o in helpers.VERIFY_OPTIONS]
+    assert wants[0].violations
+    for name in ("check_condition3", "check_condition4", "check_star"):
+        monkeypatch.setattr(tritree.checks, name, refuse)
+    for options, want in zip(helpers.VERIFY_OPTIONS, wants):
+        assert tritree.checks.verify_metric(tmap, **options) == want
+
+
+def test_a_random_map_takes_the_full_scans(monkeypatch):
+    tmap = list(random_maps())[-1]
+    assert len(tmap.taxa) == 12
+    monkeypatch.setattr(tritree.checks, "check_condition4", refuse)
+    with pytest.raises(Raised):
+        tritree.checks.verify_metric(tmap)
