@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import TaxonSet, TernaryMap
 from .quartets import _resolution, _through
-from .reconstruct import _top_down, certified_tree
+from .reconstruct import _certify, _top_down, certified_tree
 from .tree import ColoredTree
 
 __all__ = [
@@ -203,25 +203,28 @@ def verify_metric(
     """Run the 4- and 5-subset checks, and optionally the resolver check;
     a certified tree answers all three.  Without one, the subsets through the
     mismatches with a nearby encoding answer them, or the full scans do."""
-    tree = certified_tree(tmap)
+    tree, encoded = _certify(tmap)
     if tree is not None:
         star = _unresolved_stars(tree, fail_fast) if include_star else ()
         return MetricReport((), include_star, star)
-    near = _near_encoding(tmap)
+    near = _near_encoding(tmap, encoded)
     violations = _subset_lines(tmap, near, (4, 5), fail_fast)
     star = _star_lines(tmap, near, strict_star, fail_fast) if include_star else ()
     return MetricReport(violations, include_star, star)
 
 
-def _near_encoding(tmap: TernaryMap) -> tuple[TernaryMap, list[tuple[int, ...]]] | None:
+def _near_encoding(
+    tmap: TernaryMap, first: TernaryMap
+) -> tuple[TernaryMap, list[tuple[int, ...]]] | None:
     """Of the trees _top_down builds from a few roots, one of which avoids any
     single changed triple, the encoding that differs from tmap on the fewest
-    3-subsets, and those 3-subsets; None where the full scans cost less."""
+    3-subsets, and those 3-subsets; None where the full scans cost less.
+    Root 0's encoding is first, already built by _certify."""
     n, near = len(tmap.taxa), None
     # Ten codes for each 5-subset through a mismatch, against C(n, 5) in the full scan.
     cap = comb(n, 5) // max(1, 10 * comb(n - 3, 2))
     for root in dict.fromkeys((0, n // 3, 2 * n // 3, n - 1)) if cap else ():
-        encoded = _top_down(tmap, root)[2]
+        encoded = _top_down(tmap, root)[2] if root else first
         differ = tmap._mismatches(encoded)
         if near is None or len(differ) < len(near[1]):
             near = encoded, differ

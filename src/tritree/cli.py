@@ -23,7 +23,7 @@ from .core import (
 )
 from .oracle import enumerate_colorings, enumerate_trees, two_cycle_map
 from .quartets import _scan_quartets, _text_chunks
-from .reconstruct import NotAMetricError, certified_tree, reconstruct_tree
+from .reconstruct import NotAMetricError, _certify, reconstruct_tree
 from .tree import (
     NewickParseError,
     TreeValidationError,
@@ -101,8 +101,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _cmd_quartets(args: argparse.Namespace) -> int:
     tmap = TernaryMap.from_table_text(_read_text(args.table))
-    tree = certified_tree(tmap)
-    violations = _subset_lines(tmap, _near_encoding(tmap), (4,)) if tree is None else ()
+    tree, encoded = _certify(tmap)
+    violations = _subset_lines(tmap, _near_encoding(tmap, encoded), (4,)) if tree is None else ()
     if violations:
         for violation in violations:
             print(violation.line, file=sys.stderr)

@@ -219,6 +219,23 @@ def _checked_values(taxa: TaxonSet, alphabet: SymbolAlphabet, rows: Iterable, co
     return store
 
 
+def _table_header(taxa: TaxonSet, alphabet: SymbolAlphabet) -> str:
+    return f"taxa: {' '.join(taxa.names)}\nsymbols: {' '.join(alphabet.sorted())}\n"
+
+
+def _table_lines(
+    words: list[str], i: int, ends: Sequence[str] | Mapping[str, str], codes: Iterator
+) -> str:
+    """The table lines of the 3-subsets i < j < k of positions, in combinations
+    order: the words (names and a space) at i, j and k, then ends[c] (a symbol
+    and a newline) for the next c of codes."""
+    n, lines = len(words), []
+    for j in range(i + 1, n - 1):
+        head = words[i] + words[j]
+        lines += [head + words[k] + ends[c] for k, c in zip(range(j + 1, n), codes)]
+    return "".join(lines)
+
+
 class TernaryMap:
     """A total symmetric assignment of one symbol to every 3-subset of taxa.
 
@@ -358,17 +375,52 @@ class TernaryMap:
     # with '@', the prefix of reconstruction's composite taxa; library maps may use it.
 
     def to_table_text(self) -> str:
-        names, n = self.taxa.names, len(self.taxa)
-        lines = [f"taxa: {' '.join(names)}\nsymbols: {' '.join(self.alphabet.sorted())}\n"]
-        words = [name + " " for name in names]
+        words = [name + " " for name in self.taxa.names]
         ends, codes = [symbol + "\n" for symbol in self._symbols], iter(self._codes)
-        for i, j in combinations(range(n), 2):
-            head = words[i] + words[j]
-            lines += [head + words[k] + ends[c] for k, c in zip(range(j + 1, n), codes)]
-        return "".join(lines)
+        chunks = [_table_lines(words, i, ends, codes) for i in range(len(words) - 2)]
+        return "".join([_table_header(self.taxa, self.alphabet), *chunks])
+
+    @classmethod
+    def _from_canonical_text(cls, text: str) -> "TernaryMap | None":
+        """The map of a text exactly as to_table_text writes it, else None: the
+        headers fix its length up to the symbols' lengths, and each smallest
+        taxon's block must hold one line per 3-subset (a table cut short renders
+        to itself) and equal to_table_text's lines for its last words."""
+        first = text.find("\n") + 1
+        names = text[6 : first - 1].split(" ")
+        symbols = text[first + 9 : text.find("\n", first)].split(" ")
+        try:
+            taxa, alphabet = TaxonSet(tuple(names)), SymbolAlphabet(frozenset(symbols))
+        except ValueError:
+            return None
+        n, header = len(names), _table_header(taxa, alphabet)
+        words, ends = [name + " " for name in taxa.names], {s: s + "\n" for s in symbols}
+        size = len(header) + comb(n - 1, 2) * sum(map(len, words))
+        lengths = sorted(map(len, ends.values()))
+        if not size + comb(n, 3) * lengths[0] <= len(text) <= size + comb(n, 3) * lengths[-1]:
+            return None
+        if not text.startswith(header) or any(name.startswith("@") for name in names):
+            return None
+        pos, values = len(header), []
+        for i in range(n - 2):
+            end = text.find("\n" + words[i + 1], pos) + 1 or len(text)  # where i + 1's lines begin
+            block = text[pos:end]
+            if block.count("\n") != comb(n - 1 - i, 2):
+                return None
+            last = [line.rpartition(" ")[2] for line in block.split("\n")]
+            if last.pop() or not alphabet.symbols.issuperset(last):
+                return None
+            if _table_lines(words, i, ends, iter(last)) != block:
+                return None
+            values += last
+            pos = end
+        return cls._of(taxa, alphabet, values) if pos == len(text) else None
 
     @classmethod
     def from_table_text(cls, text: str) -> "TernaryMap":
+        tmap = cls._from_canonical_text(text)
+        if tmap is not None:
+            return tmap
         headers: dict[str, list[str]] = {}
         # The four tokens of every triple line, in one flat list: a list per
         # line would leave the garbage collector a container per triple to walk.

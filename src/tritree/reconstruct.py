@@ -257,8 +257,14 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
     By the paper's characterization it is None exactly when the map fails the
     4- or 5-subset check.  A leaf set that does not split leaves a tree whose
     encoding is some other map, so comparing the encoding settles both."""
+    return _certify(tmap)[0]
+
+
+def _certify(tmap: TernaryMap) -> tuple[ColoredTree | None, TernaryMap]:
+    """certified_tree, and the encoding of the tree built from position 0."""
     edges, colored, encoded = _top_down(tmap, 0)
-    return ColoredTree(edges, dict(enumerate(tmap.taxa)), colored) if encoded == tmap else None
+    tree = ColoredTree(edges, dict(enumerate(tmap.taxa)), colored) if encoded == tmap else None
+    return tree, encoded
 
 
 def _top_down(tmap: TernaryMap, root: int) -> tuple[list, dict[int, str], TernaryMap]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tritree import parse_newick, trees_isomorphic, write_newick
 from tritree.cli import main
 from tritree.quartets import _scan_quartets, _text_chunks
-from tritree.reconstruct import certified_tree
+from tritree.reconstruct import _certify, _top_down, certified_tree
 
 import helpers
 import reference_scans
@@ -279,10 +279,10 @@ class TestQuartets:
 
         def counted(tmap):
             calls.append(tmap)
-            return certified_tree(tmap)
+            return _certify(tmap)
 
-        monkeypatch.setattr("tritree.cli.certified_tree", counted)
-        monkeypatch.setattr("tritree.reconstruct.certified_tree", counted)
+        monkeypatch.setattr("tritree.cli._certify", counted)
+        monkeypatch.setattr("tritree.reconstruct._certify", counted)
         assert main(["quartets", two_cycle_table]) == 0
         assert capsys.readouterr().out.count("|") == 5
         assert len(calls) == 1
@@ -366,6 +366,21 @@ class TestCertifyThenExplain:
         for tmap in tables:
             got = run_on_bytes(argv + ["-"], tmap.to_table_text().encode())
             assert got == by_scans(argv, tmap), tmap.to_table_text()
+
+    @pytest.mark.parametrize("command", ["verify", "check-binary", "quartets"])
+    def test_a_rejection_builds_the_position_0_tree_once(self, monkeypatch, command):
+        tmap = helpers.perturbed(random.Random(5), helpers.caterpillar(16).encode(), 1, ("a", "b"))
+        roots = []
+
+        def counted(built, root):
+            if built == tmap:  # not the trees of nearby encodings
+                roots.append(root)
+            return _top_down(built, root)
+
+        monkeypatch.setattr("tritree.reconstruct._top_down", counted)
+        monkeypatch.setattr("tritree.checks._top_down", counted)
+        assert run_on_bytes([command, "-"], tmap.to_table_text().encode())[0] == 1
+        assert roots.count(0) == 1
 
     def test_quartets_equal_the_reference_scan_on_larger_trees(self):
         # Polytomies of degree 4 to 8, random trees up to 30 leaves, and a

@@ -1,5 +1,6 @@
 """Taxon sets, alphabets, ternary maps, and the triple-table text format."""
 
+import random
 import re
 from itertools import permutations, product
 
@@ -17,6 +18,7 @@ from tritree import (
     build_ternary,
 )
 
+import helpers
 import strategies
 
 
@@ -376,3 +378,124 @@ class TestTableText:
     def test_malformed_tables(self, text, complaint):
         with pytest.raises(TableFormatError, match=complaint):
             TernaryMap.from_table_text(text)
+
+
+class ReachedGeneralReader(Exception):
+    pass
+
+
+def refuse(*args):
+    raise ReachedGeneralReader
+
+
+def near_misses(text: str, rng: random.Random) -> dict[str, str]:
+    """A canonical table text with one mistake each, by name, among lines
+    chosen by rng; "unused symbol" alone is canonical again."""
+    lines = text.split("\n")[:-1]
+    taxa, symbols, body = lines[0].split()[1:], lines[1].split()[1:], lines[2:]
+    at = rng.randrange(len(body))
+    other = rng.choice([k for k in range(len(body)) if k != at] or [at])
+    names, value = body[at].rsplit(" ", 1)
+    swapped = body[:]
+    swapped[at], swapped[other] = swapped[other], swapped[at]
+    used = sorted({line.rsplit(" ", 1)[1] for line in body})
+
+    def at_first(line: str) -> str:  # "@" sorts before the "t" of every name here
+        return "@" + line if line.startswith(taxa[0] + " ") else line
+
+    def table(taxa=taxa, symbols=symbols, body=body) -> str:
+        return f"taxa: {' '.join(taxa)}\nsymbols: {' '.join(symbols)}\n" + "".join(
+            line + "\n" for line in body
+        )
+
+    return {
+        "double space": table(body=body[:at] + [body[at].replace(" ", "  ", 1)] + body[at + 1 :]),
+        "comment": table(body=body[:at] + ["# a comment"] + body[at:]),
+        "trailing blank line": text + "\n",
+        "no final newline": text[:-1],
+        "line dropped": table(body=body[:at] + body[at + 1 :]),
+        "lines cut short": table(body=body[: at + 1]) if at + 1 < len(body) else text + "\n",
+        "lines swapped": table(body=swapped),
+        "used symbol undeclared": table(symbols=[s for s in symbols if s != used[-1]]),
+        "unsorted taxa": table(taxa=taxa[::-1] if len(taxa) > 1 else taxa),
+        "unused symbol": table(symbols=sorted(symbols + ["zz"])),
+        "unsorted symbols": table(symbols=["zz"] + symbols),
+        "repeated symbol": table(symbols=symbols + symbols[-1:]),
+        "CRLF": text.replace("\n", "\r\n"),
+        "tab": table(body=body[:at] + [body[at].replace(" ", "\t", 1)] + body[at + 1 :]),
+        "duplicated line": table(body=body[:at] + [body[at]] + body[at:]),
+        "conflicting duplicate": table(body=body[:at] + [f"{names} {value}x"] + body[at:]),
+        # The last 3-subset again, its taxa turned round: a line the blocks do not reach.
+        "conflict appended": table(body=body + [" ".join(taxa[-2:] + taxa[-3:-2] + ["zz"])]),
+        "@ taxon": table(taxa=["@" + taxa[0]] + taxa[1:], body=[at_first(line) for line in body]),
+    }
+
+
+def parsed(text: str):
+    """from_table_text's map and alphabet, or the type and message of its error."""
+    try:
+        tmap = TernaryMap.from_table_text(text)
+    except Exception as exc:  # the differential compares whatever is raised
+        return type(exc), str(exc)
+    return tmap, tmap.alphabet
+
+
+class TestCanonicalTables:
+    """A table exactly as to_table_text writes it skips the general reader;
+    any other text reaches it and gets the same answer as before."""
+
+    @pytest.fixture
+    def no_general_reader(self, monkeypatch):
+        monkeypatch.setattr("tritree.core._checked_values", refuse)
+
+    def test_an_encode_table_skips_the_general_reader(self, monkeypatch):
+        tmap = helpers.random_tree(random.Random(2), 12).encode()
+        tables = [tmap.to_table_text(), small_map(CONSTANT4).to_table_text()]
+        monkeypatch.setattr("tritree.core._checked_values", refuse)
+        assert TernaryMap.from_table_text(tables[0]) == tmap
+        assert TernaryMap.from_table_text(tables[1]).alphabet.sorted() == ("a", "b")  # one unused
+
+    @pytest.mark.parametrize(
+        "mistake",
+        [
+            "double space",
+            "comment",
+            "trailing blank line",
+            "no final newline",
+            "line dropped",
+            "lines swapped",
+            "used symbol undeclared",
+            "unsorted taxa",
+        ],
+    )
+    def test_any_other_table_reaches_the_general_reader(self, no_general_reader, mistake):
+        text = helpers.caterpillar(9).encode().to_table_text()
+        with pytest.raises(ReachedGeneralReader):
+            TernaryMap.from_table_text(near_misses(text, random.Random(3))[mistake])
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_a_table_cut_short_reaches_the_general_reader(self, no_general_reader, cut):
+        # Lines with a long symbol keep the text within the lengths the headers
+        # allow, so only the count of lines tells the cut from a whole table.
+        long = "b" * 40
+        text = f"taxa: t1 t2 t3 t4\nsymbols: a {long}\n" + "".join(
+            f"{' '.join(tri)} {long}\n" for tri in TaxonSet(("t1", "t2", "t3", "t4")).triples()
+        )
+        with pytest.raises(ReachedGeneralReader):
+            TernaryMap.from_table_text(text[: len(text) - cut * len(f"t1 t2 t3 {long}\n")])
+
+    def test_answers_equal_the_general_readers(self, monkeypatch):
+        rng = random.Random(11)
+        maps = [
+            helpers.random_tree(rng, n, ("a", "bb", "cccc") if n % 2 else helpers.PALETTE).encode()
+            for n in range(3, 31)
+        ]
+        maps += helpers.all_maps(5, ("a", "b"))
+        texts = []
+        for tmap in maps:
+            text = tmap.to_table_text()
+            assert TernaryMap._from_canonical_text(text) == tmap
+            texts += [text, *near_misses(text, rng).values()]
+        fast = [parsed(text) for text in texts]
+        monkeypatch.setattr(TernaryMap, "_from_canonical_text", classmethod(lambda cls, text: None))
+        assert fast == [parsed(text) for text in texts]
