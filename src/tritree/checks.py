@@ -97,11 +97,11 @@ class Violation:
         return f"COND {self.condition} SUBSET {' '.join(self.subset)} DETAIL {self.detail}"
 
 
-def _violation(condition: str, tmap: TernaryMap, at: Sequence[int]) -> Violation:
-    """The line for the subset at sorted positions; codes sort as their symbols do."""
-    tally = sorted(Counter(tmap._code(*tri) for tri in combinations(at, 3)).items())
-    detail = " ".join(f"{tmap._symbols[c]}={count}" for c, count in tally)
-    return Violation(condition, tuple(tmap.taxa.names[i] for i in at), "values " + detail)
+def _violation(condition: str, tmap: TernaryMap, at: Sequence[int], codes: Sequence) -> Violation:
+    """The line for the subset at sorted positions, from the codes of all its
+    3-subsets in any order; codes sort as their symbols do."""
+    detail = " ".join(f"{tmap._symbols[c]}={codes.count(c)}" for c in sorted(set(codes)))
+    return Violation(condition, tuple(map(tmap.taxa.names.__getitem__, at)), "values " + detail)
 
 
 def _star(taxa: TaxonSet, at: tuple[int, ...], value: str) -> Violation:
@@ -116,7 +116,7 @@ def check_condition3(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Viol
     for i, j, k, l, a, b, c, d in tmap._quads():
         if a == b and c == d or a == c and b == d or a == d and b == c:
             continue
-        found.append(_violation("3", tmap, [i, j, k, l]))
+        found.append(_violation("3", tmap, (i, j, k, l), (a, b, c, d)))
         if fail_fast:
             break
     return tuple(found)
@@ -136,7 +136,7 @@ def check_condition4(tmap: TernaryMap, *, fail_fast: bool = False) -> tuple[Viol
         sixes = map(_through(tmap.taxa, i, j, k, l), rows[l + 1 :])
         for m, six in enumerate(sixes, l + 1):
             if six.count(a) == need and len(set(six).union(four)) == 2:
-                found.append(_violation("4", tmap, [i, j, k, l, m]))
+                found.append(_violation("4", tmap, (i, j, k, l, m), four + six))
                 if fail_fast:
                     return tuple(found)
     return tuple(found)
@@ -203,31 +203,30 @@ def verify_metric(
     """Run the 4- and 5-subset checks, and optionally the resolver check;
     a certified tree answers all three.  Without one, the subsets through the
     mismatches with a nearby encoding answer them, or the full scans do."""
-    tree, encoded = _certify(tmap)
+    tree, built = _certify(tmap)
     if tree is not None:
         star = _unresolved_stars(tree, fail_fast) if include_star else ()
         return MetricReport((), include_star, star)
-    near = _near_encoding(tmap, encoded)
+    near = _near_encoding(tmap, built)
     violations = _subset_lines(tmap, near, (4, 5), fail_fast)
     star = _star_lines(tmap, near, strict_star, fail_fast) if include_star else ()
     return MetricReport(violations, include_star, star)
 
 
-def _near_encoding(
-    tmap: TernaryMap, first: TernaryMap
-) -> tuple[TernaryMap, list[tuple[int, ...]]] | None:
+def _near_encoding(tmap: TernaryMap, first: tuple) -> tuple[tuple, list[tuple[int, ...]]] | None:
     """Of the trees _top_down builds from a few roots, one of which avoids any
-    single changed triple, the encoding that differs from tmap on the fewest
-    3-subsets, and those 3-subsets; None where the full scans cost less.
-    Root 0's encoding is first, already built by _certify."""
+    single changed triple, the one whose encoding differs from tmap on the
+    fewest 3-subsets, as _top_down's (edges, colors, encoding), and those
+    3-subsets; None where the full scans cost less.  Root 0's is first,
+    already built by _certify."""
     n, near = len(tmap.taxa), None
     # Ten codes for each 5-subset through a mismatch, against C(n, 5) in the full scan.
     cap = comb(n, 5) // max(1, 10 * comb(n - 3, 2))
     for root in dict.fromkeys((0, n // 3, 2 * n // 3, n - 1)) if cap else ():
-        encoded = _top_down(tmap, root)[2] if root else first
-        differ = tmap._mismatches(encoded)
+        built = _top_down(tmap, root) if root else first
+        differ = tmap._mismatches(built[2])
         if near is None or len(differ) < len(near[1]):
-            near = encoded, differ
+            near = built, differ
         if len(differ) == 1:
             break
     return near if near and len(near[1]) <= cap else None
@@ -258,13 +257,14 @@ def _subset_lines(
             found += check_condition4(tmap, fail_fast=fail_fast)
         return found
 
-    def bad(at: tuple[int, ...]) -> bool:  # neither constant nor 2-2, or 5-5
-        tally = sorted(Counter(tmap._code(*tri) for tri in combinations(at, 3)).values())
-        return tally == [5, 5] if len(at) == 5 else tally not in ([4], [2, 2])
+    def bad(codes: list[int]) -> bool:  # neither constant nor 2-2, or 5-5
+        tally = sorted(Counter(codes).values())
+        return tally == [5, 5] if len(codes) == 10 else tally not in ([4], [2, 2])
 
     subsets = (at for size in sizes for at in _holding(near[1], len(tmap.taxa), size, 3))
-    lines = (_violation(str(len(at) - 1), tmap, at) for at in subsets if bad(at))  # COND 3, 4
-    return tuple(islice(lines, 1 if fail_fast else None))
+    tallied = ((at, [tmap._code(*tri) for tri in combinations(at, 3)]) for at in subsets)
+    lines = (_violation(str(len(at) - 1), tmap, at, codes) for at, codes in tallied if bad(codes))
+    return tuple(islice(lines, 1 if fail_fast else None))  # COND 3, then COND 4
 
 
 def _star_lines(
@@ -273,12 +273,15 @@ def _star_lines(
     """check_star's lines: by the full scan without a near encoding.  With one, a
     4-subset sharing at most one taxon with each mismatch reads the encoding's
     values inside it and through every outside taxon, so its verdict is the
-    encoding's, read off the encoding's tree; the others are scanned."""
+    encoding's, read off the encoding's tree; the others are scanned.  A
+    discriminating tree is the only one with its encoding, so the tree built
+    is read when it is discriminating and the encoding certified otherwise."""
     if near is None:
         return check_star(tmap, strict=strict, fail_fast=fail_fast)
-    (encoded, differ), names, rows = near, tmap.taxa.names, []
+    ((edges, colored, encoded), differ), names, rows = near, tmap.taxa.names, []
     pairs = {(names[p], names[q]) for tri in differ for p, q in combinations(tri, 2)}
-    stars = _unresolved_stars(certified_tree(encoded), False)
+    tree = ColoredTree(edges, dict(enumerate(names)), colored)
+    stars = _unresolved_stars(tree if tree.is_discriminating() else certified_tree(encoded), False)
     found = [v for v in stars if pairs.isdisjoint(combinations(v.subset, 2))]
     for at in _holding(differ, len(names), 4, 2):
         a, b, c, d = (tmap._code(*tri) for tri in combinations(at, 3))

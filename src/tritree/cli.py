@@ -101,8 +101,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _cmd_quartets(args: argparse.Namespace) -> int:
     tmap = TernaryMap.from_table_text(_read_text(args.table))
-    tree, encoded = _certify(tmap)
-    violations = _subset_lines(tmap, _near_encoding(tmap, encoded), (4,)) if tree is None else ()
+    tree, built = _certify(tmap)
+    violations = _subset_lines(tmap, _near_encoding(tmap, built), (4,)) if tree is None else ()
     if violations:
         for violation in violations:
             print(violation.line, file=sys.stderr)

@@ -13,23 +13,26 @@ accept route finds no tree, so that every rejection says why, and as well
 when its steps are observed (``--trace``); the tree returned is always the
 accept route's, the only one by the paper.  Two taxa merge under a symbol m
 when some triple through both takes the value m and every other triple takes
-m through one exactly when it does through the other.  Each step reads every
-taxon's row of codes once (tests/reference_scans.py has the name-based copy).
-In a map that encodes a tree, the classes of this relation with two or more
-members are exactly the pseudo-cherries: the groups of all leaves sharing one
-interior vertex, whose color is the class symbol.
+m through one exactly when it does through the other.  In a map that encodes
+a tree, the classes of this relation with two or more members are exactly
+the pseudo-cherries: the groups of all leaves sharing one interior vertex,
+whose color is the class symbol.
 
 Each contraction replaces a class by a composite taxon, named ``@1``,
 ``@2``, ... and skipping the input's own taxa (the table and Newick readers
-ban ``@`` as the first character of a taxon; library maps may use it).  The
-candidate tree is encoded and compared with the map at the end, so every map
-that is not an encoding is rejected, at the latest, there.
+ban ``@`` as the first character of a taxon; library maps may use it), read
+through its first member.  So a reduced map is the input read through one
+position per live taxon: the input's rows are read once per run, and a step
+on m live taxa costs O(m^2) big-int tests (tests/reference_scans.py has the
+loop over reduced maps).  The candidate tree is encoded and compared with
+the map at the end, so every map that is not an encoding is rejected, at the
+latest, there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations, count, product
 from typing import Callable, Iterable
 
 from .core import TaxonSet, TernaryMap, check_identifier
@@ -63,10 +66,11 @@ def merge_symbol(tmap: TernaryMap, x: str, y: str) -> str | None:
 
 
 def _pair_sets(tmap: TernaryMap, x: int) -> dict[int, int]:
-    """For each code in the row of position x, the pairs whose triple with x
-    has it, as an int with one byte per pair; code -1 gives the pairs through x."""
+    """For each code in the row of position x, the pairs whose triple with x has
+    it, one bit per pair with the first highest; -1 gives the pairs through x."""
     row = tmap._row(x)
-    return {m: int.from_bytes(bytes(map(m.__eq__, row)), "big") for m in set(row)}
+    digits = bytes.maketrans(b"\0\1", b"01")
+    return {m: int(bytes(map(m.__eq__, row)).translate(digits), 2) for m in set(row)}
 
 
 def _merge_symbol(tmap: TernaryMap, at_x: dict, at_y: dict, x: str, y: str) -> str | None:
@@ -94,11 +98,8 @@ class EquivalenceClasses:
 
     def nontrivial(self) -> tuple[tuple[tuple[str, ...], str], ...]:
         """The classes with two or more members, as (members, symbol) pairs."""
-        return tuple(
-            (members, symbol)
-            for members, symbol in zip(self.classes, self.symbols)
-            if len(members) >= 2
-        )
+        pairs = zip(self.classes, self.symbols)
+        return tuple((members, symbol) for members, symbol in pairs if len(members) >= 2)
 
 
 def equivalence_classes(tmap: TernaryMap) -> EquivalenceClasses:
@@ -110,7 +111,13 @@ def equivalence_classes(tmap: TernaryMap) -> EquivalenceClasses:
     trees never trigger either.
     """
     names = tmap.taxa.names
-    sets = [_pair_sets(tmap, i) for i in range(len(names))]
+    return _classes(tmap, names, [_pair_sets(tmap, i) for i in range(len(names))], -1)
+
+
+def _classes(tmap: TernaryMap, names: list, sets: list, live: int) -> EquivalenceClasses:
+    """equivalence_classes of the taxa names, whose pair sets are sets, each masked by live."""
+    if live != -1:
+        sets = [{m: pairs & live for m, pairs in at.items()} for at in sets]
     pair_symbol: dict[tuple[str, str], str] = {}
     adjacent: dict[str, set[str]] = {x: set() for x in names}
     for (i, x), (j, y) in combinations(enumerate(names), 2):
@@ -126,8 +133,7 @@ def equivalence_classes(tmap: TernaryMap) -> EquivalenceClasses:
     for start in names:
         if start in placed:
             continue
-        group = {start}
-        frontier = [start]
+        group, frontier = {start}, [start]
         while frontier:
             frontier = [u for v in frontier for u in adjacent[v] if u not in group]
             group.update(frontier)
@@ -205,27 +211,40 @@ def _grow(tmap: TernaryMap, on_step: Callable[[ContractionStep], None] | None) -
     A class vertex may end up beside one of its own color; the tree is only
     encoded, and merging such an edge changes no median's color.
     """
-    names, reduced = tmap.taxa.names, tmap
-    vertex_of = {name: i for i, name in enumerate(names)}
+    names, n = tmap.taxa.names, len(tmap.taxa)
+    rows = [_pair_sets(tmap, i) for i in range(n)]
+    at = {name: i for i, name in enumerate(names)}  # the position each live taxon reads
+    vertex_of = dict(at)
     fresh = (f"@{k}" for k in count(1) if f"@{k}" not in tmap.taxa)
     edges: list[tuple[int, int]] = []
     colors: dict[int, str] = {}
+    reduced, live = tmap, -1  # the pairs of live positions: all, until a taxon dies
     while True:
-        mergeable = equivalence_classes(reduced).nontrivial()
+        alive = sorted(at)
+        mergeable = _classes(tmap, alive, [rows[at[t]] for t in alive], live).nontrivial()
         if not mergeable:
             raise NotAMetricError("no pair of taxa merges, so the map encodes no tree")
         members, symbol = min(mergeable)
-        hub = len(names) + len(colors)
+        hub = n + len(colors)
         colors[hub] = symbol
-        if len(members) >= len(reduced.taxa) - 1:
-            edges.extend((vertex_of[t], hub) for t in reduced.taxa.names)
+        if len(members) >= len(alive) - 1:
+            edges.extend((vertex_of[t], hub) for t in alive)
             break
-        contraction = contract_class(reduced, members, symbol, next(fresh))
+        new = next(fresh)
+        first, *others = (rows[at[t]] for t in members)
+        for at_x in others:
+            live &= ~at_x[-1]  # the pairs through a position that dies
+        outside = live & ~first[-1]
         if on_step is not None:
-            on_step(contraction)
+            on_step(contraction := contract_class(reduced, members, symbol, new))
+            reduced = contraction.reduced
+        elif any((first.get(m, 0) ^ at_x.get(m, 0)) & outside for at_x in others for m in at_x):
+            reads = combinations([names[at[t]] for t in alive], 3)
+            reduced = TernaryMap._of(TaxonSet(alive), tmap.alphabet, map(tmap.triple_value, reads))
+            contract_class(reduced, members, symbol, new)  # raises: the members disagree
         edges.extend((vertex_of[t], hub) for t in members)
-        vertex_of[contraction.new_taxon] = hub
-        reduced = contraction.reduced
+        vertex_of[new] = hub
+        at = {t: p for t, p in at.items() if t not in members} | {new: at[members[0]]}
     encoded = ColoredTree(edges, dict(enumerate(names)), colors).encode()
     if encoded != tmap:
         pairs = zip(encoded.entries(), tmap.entries())
@@ -238,8 +257,7 @@ def _grow(tmap: TernaryMap, on_step: Callable[[ContractionStep], None] | None) -
 
 def _split(group: list[int], value: list[list[int]], color: int) -> list[list[int]]:
     """Components of the graph on group joining x and y when value[x][y] != color."""
-    left = set(group)
-    parts = []
+    left, parts = set(group), []
     while left:
         part = [left.pop()]
         for x in part:
@@ -260,11 +278,11 @@ def certified_tree(tmap: TernaryMap) -> ColoredTree | None:
     return _certify(tmap)[0]
 
 
-def _certify(tmap: TernaryMap) -> tuple[ColoredTree | None, TernaryMap]:
-    """certified_tree, and the encoding of the tree built from position 0."""
-    edges, colored, encoded = _top_down(tmap, 0)
+def _certify(tmap: TernaryMap) -> tuple[ColoredTree | None, tuple]:
+    """certified_tree, and the _top_down edges, colors and encoding from position 0."""
+    built = edges, colored, encoded = _top_down(tmap, 0)
     tree = ColoredTree(edges, dict(enumerate(tmap.taxa)), colored) if encoded == tmap else None
-    return tree, encoded
+    return tree, built
 
 
 def _top_down(tmap: TernaryMap, root: int) -> tuple[list, dict[int, str], TernaryMap]:
@@ -307,9 +325,8 @@ def _top_down(tmap: TernaryMap, root: int) -> tuple[list, dict[int, str], Ternar
         colors[vertex] = color
         edges.append((vertex, parent))
         for a, b in combinations(parts, 2):
-            for x in a:
-                for y in b:
-                    lca[x][y] = lca[y][x] = vertex
+            for x, y in product(a, b):
+                lca[x][y] = lca[y][x] = vertex
         stack.extend((part, vertex) for part in parts)
     colored = {v: tmap._symbols[c] for v, c in colors.items()}
     return edges, colored, TernaryMap._of(tmap.taxa, tmap.alphabet, _median_colors(lca, colored))

@@ -1,18 +1,20 @@
 """Frozen reference copies of the explain scans, for the tests only.
 
 These are the name-based bodies of the subset scans, the resolver test, the
-quartet scan and the merge relation as they read before the package moved
-them onto integer positions over the flat code store.  They look every value
-up through ``TernaryMap.triple_value`` and count with ``Counter``, so they
-share no logic with the position loops they check.  ``helpers.scan_report``,
-``helpers.metric_by_scans`` and the CLI reference in ``test_cli.py`` read
-them; nothing in ``src/`` does.
+quartet scan, the merge relation and the bottom-up contraction loop as they
+read before the package moved them onto integer positions over the flat code
+store.  They look every value up through ``TernaryMap.triple_value`` and
+count with ``Counter``, so they share no logic with the position loops they
+check.  ``helpers.scan_report``, ``helpers.metric_by_scans``, the CLI
+reference in ``test_cli.py`` and ``test_explain_scans.py`` read them; nothing
+in ``src/`` does.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, count
 
 from tritree import (
+    ColoredTree,
     ContractionStep,
     EquivalenceClasses,
     NotAMetricError,
@@ -239,3 +241,35 @@ def contract_class(tmap, members, symbol, new_name):
         values[(new_name, u, v)] = through.pop()
     reduced = build_ternary(TaxonSet(tuple(rest) + (new_name,)), tmap.alphabet, values)
     return ContractionStep(group, symbol, new_name, reduced)
+
+
+def grow(tmap, on_step=None):
+    names, reduced = tmap.taxa.names, tmap
+    vertex_of = {name: i for i, name in enumerate(names)}
+    fresh = (f"@{k}" for k in count(1) if f"@{k}" not in tmap.taxa)
+    edges = []
+    colors = {}
+    while True:
+        mergeable = equivalence_classes(reduced).nontrivial()
+        if not mergeable:
+            raise NotAMetricError("no pair of taxa merges, so the map encodes no tree")
+        members, symbol = min(mergeable)
+        hub = len(names) + len(colors)
+        colors[hub] = symbol
+        if len(members) >= len(reduced.taxa) - 1:
+            edges.extend((vertex_of[t], hub) for t in reduced.taxa.names)
+            break
+        contraction = contract_class(reduced, members, symbol, next(fresh))
+        if on_step is not None:
+            on_step(contraction)
+        edges.extend((vertex_of[t], hub) for t in members)
+        vertex_of[contraction.new_taxon] = hub
+        reduced = contraction.reduced
+    encoded = ColoredTree(edges, dict(enumerate(names)), colors).encode()
+    if encoded != tmap:
+        pairs = zip(encoded.entries(), tmap.entries())
+        tri, got, want = next((t, g, w) for (t, g), (_, w) in pairs if g != w)
+        raise NotAMetricError(
+            f"no tree encodes this map: the candidate tree gives {got} on "
+            f"{' '.join(tri)} where the map gives {want}"
+        )

@@ -1,17 +1,21 @@
 """The explain scans on integer positions against their frozen name-based
 copies in reference_scans: the 4-subset, 5-subset and resolver scans, the
-quartet scan, the merge relation and contraction, and the public per-subset
-helpers they replaced, on every input the same violations, classes and
-error texts.  verify_metric, which scans only around a nearby tree's
-mismatches where that costs less, must report what the scans report."""
+quartet scan, the merge relation and contraction, the bottom-up contraction
+loop, and the public per-subset helpers they replaced, on every input the
+same violations, classes, steps and error texts.  verify_metric, which scans
+only around a nearby tree's mismatches where that costs less, must report
+what the scans report."""
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import tritree.checks
 from tritree import (
+    ColoredTree,
+    NotAMetricError,
     SymbolAlphabet,
     TaxonSet,
     TernaryMap,
@@ -19,9 +23,11 @@ from tritree import (
     equivalence_classes,
     merge_symbol,
     partition_profile,
+    reconstruct_tree,
     resolved_quartet,
 )
 from tritree.cli import main
+from tritree.reconstruct import _top_down
 
 import helpers
 import reference_scans as ref
@@ -90,6 +96,55 @@ def test_maps_without_4_subsets_or_outside_taxa(n):
         assert_same_explanations(tmap)
 
 
+# reconstruct_tree runs the bottom-up contraction on the map's one code array,
+# with pair sets masked by the live pairs; its steps and its NotAMetricError
+# text must be those of the frozen loop over reduced maps.
+
+GROW_FAILURES = (
+    "merge under more than one symbol",
+    "merging is not transitive",
+    "one merge group mixes symbols",
+    "class members disagree",
+    "no pair of taxa merges",
+    "no tree encodes this map",
+)
+
+
+def grown(grow, tmap, traced):
+    """The steps grow passes to on_step, and its NotAMetricError text or None."""
+    steps = []
+    try:
+        grow(tmap, steps.append if traced else None)
+    except NotAMetricError as exc:
+        return steps, str(exc)
+    return steps, None
+
+
+def grow_maps():
+    """Every two-symbol and a sample of three-symbol 5-taxon maps, perturbed
+    random trees on 4 to 14 taxa with 1 to 12 flips, and a one-flip 22-leaf
+    caterpillar."""
+    yield from helpers.all_maps(5, "ab")
+    for index in random.Random(16).sample(range(3**10), 600):
+        yield five_taxon_map("abc", index)
+    rng = random.Random(16)
+    for _ in range(150):
+        n = rng.randint(4, 14)
+        tmap = helpers.random_tree(rng, n).encode()
+        yield helpers.perturbed(rng, tmap, min(rng.randint(1, 12), comb(n, 3)))
+    yield helpers.perturbed(random.Random(5), helpers.caterpillar(22).encode(), 1, ("a", "b"))
+
+
+def test_reconstruct_grows_as_the_frozen_loop():
+    failures = set()
+    for tmap in grow_maps():
+        for traced in (False, True):
+            got = grown(reconstruct_tree, tmap, traced)
+            assert got == grown(ref.grow, tmap, traced), tmap.to_table_text()
+            failures.update(kind for kind in GROW_FAILURES if kind in (got[1] or ""))
+    assert failures == set(GROW_FAILURES)  # every message kind was compared
+
+
 # verify_metric without a certified tree scans only the subsets through the
 # 3-subsets where the map differs from a nearby tree's encoding, unless the
 # full scans cost less; both routes must print what the full scans print.
@@ -132,6 +187,33 @@ def test_verify_equals_the_scans_on_random_maps():
     for tmap in random_maps():
         assert_verify_equals_the_scans(tmap)
     assert_verify_equals_the_scans(helpers.two_cycle_map())
+
+
+def undiscriminating_builds():
+    """Forced polytomies with one or two triples flipped, and the trees that
+    _top_down builds on them from every root when those are not
+    discriminating, as near encodings."""
+    rng = random.Random(3)
+    for _ in range(60):
+        degree = rng.randint(4, 7)
+        tree = helpers.forced_polytomy(rng, degree, rng.randint(degree + 1, 12))
+        tmap = helpers.perturbed(rng, tree.encode(), rng.randint(1, 2))
+        for root in range(len(tmap.taxa)):
+            built = edges, colors, encoded = _top_down(tmap, root)
+            if not ColoredTree(edges, dict(enumerate(tmap.taxa)), colors).is_discriminating():
+                yield tmap, (built, tmap._mismatches(encoded))
+
+
+def test_star_lines_certify_a_built_tree_that_is_not_discriminating(monkeypatch):
+    # A leaf set that no color splits hangs as a star, whose color may be its
+    # parent's.  The discriminating tree of the encoding merges the two, so it
+    # has star 4-subsets the built tree lacks, and the star lines read it.
+    cases = list(undiscriminating_builds())
+    want = [tritree.checks.check_star(tmap) for tmap, _ in cases]
+    assert [tritree.checks._star_lines(tmap, near, True, False) for tmap, near in cases] == want
+    monkeypatch.setattr(ColoredTree, "is_discriminating", lambda tree: True)
+    as_built = [tritree.checks._star_lines(tmap, near, True, False) for tmap, near in cases]
+    assert as_built != want  # reading the built tree would lose lines
 
 
 def test_quartets_prints_the_4_subset_scan_on_flipped_maps(tmp_path, capsys):
