@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tritree.cli as cli
 from tritree import parse_newick, trees_isomorphic, write_newick
-from tritree.cli import main
+from tritree.cli import build_parser, main
 from tritree.quartets import _scan_quartets, _text_chunks
 from tritree.reconstruct import _certify, _top_down, certified_tree
 
@@ -68,6 +69,17 @@ def run_on_bytes(argv, data):
             code = main(argv)
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one main call, usage exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -464,12 +476,61 @@ class TestSelftestAndPlumbing:
         assert main(["encode", path]) == 3
         assert capsys.readouterr().err == "error: unexpected end of input (at position 3000)\n"
 
-    def test_missing_subcommand_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            main([])
+    def test_missing_subcommand_is_a_usage_error(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_main([]) == (
+            2,
+            "",
+            "usage: tritree [-h]\n"
+            "               {encode,verify,reconstruct,quartets,check-binary,selftest} ...\n"
+            "tritree: error: the following arguments are required: command\n",
+        )
 
     def test_module_entry_point(self, tmp_path):
         path = write_tree(tmp_path, "(x,y,z)m;")
         done = helpers.run_python("-m", "tritree", "encode", str(path))
         assert done.returncode == 0
         assert done.stdout == "taxa: x y z\nsymbols: m\nx y z m\n"
+
+
+class TestOneParserPerProcess:
+    def test_reuse_changes_no_byte(self, caterpillar_table, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        commands = ("encode", "verify", "reconstruct", "quartets", "check-binary", "selftest")
+        cases = [
+            ["--help"],
+            *([command, "--help"] for command in commands),
+            [],
+            ["nope"],
+            ["verify"],
+            ["verify", caterpillar_table, "--bogus"],
+            ["check-binary", caterpillar_table, "--no-strict-star"],
+        ]
+        first = [run_main(argv) for argv in cases]
+        second = [run_main(argv) for argv in cases]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [run_main(argv) for argv in cases]
+        assert first == second == fresh
+        assert [code for code, _, _ in first] == [0] * 7 + [2] * 4 + [0]
+
+    def test_no_option_carries_over_to_the_next_call(self, caterpillar_table):
+        traced = run_main(["reconstruct", caterpillar_table, "--trace"])
+        plain = run_main(["reconstruct", caterpillar_table])
+        assert "CONTRACT " in traced[2] and "CONTRACT" not in plain[2]
+        starred = run_main(["verify", caterpillar_table, "--star"])
+        unstarred = run_main(["verify", caterpillar_table])
+        assert "resolver check: " in starred[2] and "resolver check:" not in unstarred[2]
+
+    def test_main_builds_its_parser_once(self, caterpillar_table, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for command in ("verify", "reconstruct", "check-binary"):
+            assert run_main([command, caterpillar_table])[0] == 0
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
